@@ -23,6 +23,7 @@ from .integrator import (
     default_dt,
     integrate,
     integrate_kicks,
+    integrate_many,
 )
 from .model import (
     ConstantPulse,
@@ -90,6 +91,7 @@ __all__ = [
     "initial_state",
     "integrate",
     "integrate_kicks",
+    "integrate_many",
     "invert_area",
     "leakage_scan",
     "populations_exact",

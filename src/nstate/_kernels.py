@@ -1,10 +1,15 @@
-"""Hot numeric kernels: fixed-step RK4 propagation and a cyclic Jacobi eigensolver.
+"""Hot numeric kernels: batched fixed-step RK4 propagation and a cyclic Jacobi eigensolver.
 
-Each kernel exists twice: a scalar-loop version compiled with ``numba.njit``
-and a vectorised pure-numpy fallback.  The numpy path is selected by setting
-``NSTATE_NO_NUMBA=1`` in the environment (or automatically when numba is not
-importable).  ``benchmarks/bench_kernels.py`` times the two paths against each
-other on representative workloads.
+RK4 has one implementation, a numpy kernel that steps a batch of ``B`` runs
+at once: states of shape ``(B, n)`` with one energy ladder per run, sharing
+the coupling matrix, the pulse and the step grid.  Its cost is Python
+overhead per step, nearly independent of ``B`` for small ``n``, so batching
+the runs of a scan divides its cost by about ``B``.
+
+The Jacobi eigensolver exists twice: a scalar-loop version compiled with
+``numba.njit`` and a slice-vectorised numpy fallback.  ``NSTATE_NO_NUMBA=1``
+in the environment (or a missing numba) selects the numpy Jacobi core; the
+flag does not affect RK4.
 """
 
 from __future__ import annotations
@@ -39,102 +44,48 @@ def _pulse_value_scalar(kind, p0, p1, p2, t):
     return p0
 
 
-def _rhs(w, energies, kind, p0, p1, p2, t, a, out):
-    # da/dt = -i (diag(E) a + V(t) W a)
-    n = a.shape[0]
-    v = _pulse_value_scalar(kind, p0, p1, p2, t)
-    for k in range(n):
-        s = 0.0 + 0.0j
-        for j in range(n):
-            s += w[k, j] * a[j]
-        out[k] = -1j * (energies[k] * a[k] + v * s)
+def _norms(a):
+    """Squared norm of each row of a C-contiguous complex array."""
+    f = a.view(np.float64)
+    return (f * f).sum(axis=1)
 
 
-def _rk4_loop(w, energies, kind, p0, p1, p2, dt, n_steps, stride, a0, out):
-    """Classic fourth-order Runge-Kutta over ``n_steps`` fixed steps.
+def _rk4_batch(w, energies, kind, params, dt, n_steps, stride, a0, out):
+    """Classic fourth-order Runge-Kutta for a batch of runs over ``n_steps`` fixed steps.
 
-    Samples the state into ``out`` at step 0, every ``stride`` steps, and at
-    the final step.  Returns the largest probability-norm drift seen at any
-    step end, so the caller can reject too-coarse runs.
+    Row ``b`` of ``a0`` and ``energies`` is one run of
+    ``da/dt = -i (diag(E_b) + V(t) W) a``; every run shares ``W``, the pulse
+    and the step grid.  Samples the states into ``out`` (shape ``(S, B, n)``)
+    at step 0, every ``stride`` steps, and at the final step.  Returns the
+    largest probability-norm drift of each run over all step ends, so the
+    caller can reject too-coarse runs.
     """
-    n = a0.shape[0]
+    w_t = np.ascontiguousarray(np.transpose(w), dtype=np.complex128)
+    mie = -1j * np.asarray(energies, dtype=np.float64)
+    p0, p1, p2 = params
     a = a0.copy()
-    k1 = np.empty(n, np.complex128)
-    k2 = np.empty(n, np.complex128)
-    k3 = np.empty(n, np.complex128)
-    k4 = np.empty(n, np.complex128)
-    tmp = np.empty(n, np.complex128)
-
-    norm0 = 0.0
-    for i in range(n):
-        norm0 += a[i].real * a[i].real + a[i].imag * a[i].imag
-
-    for i in range(n):
-        out[0, i] = a[i]
+    norm0 = _norms(a)
+    out[0] = a
     si = 1
-    max_drift = 0.0
+    max_drift = np.zeros(a.shape[0])
     half = 0.5 * dt
     sixth = dt / 6.0
 
     for step in range(n_steps):
         t = step * dt
-        _rhs(w, energies, kind, p0, p1, p2, t, a, k1)
-        for i in range(n):
-            tmp[i] = a[i] + half * k1[i]
-        _rhs(w, energies, kind, p0, p1, p2, t + half, tmp, k2)
-        for i in range(n):
-            tmp[i] = a[i] + half * k2[i]
-        _rhs(w, energies, kind, p0, p1, p2, t + half, tmp, k3)
-        for i in range(n):
-            tmp[i] = a[i] + dt * k3[i]
-        _rhs(w, energies, kind, p0, p1, p2, t + dt, tmp, k4)
-        for i in range(n):
-            a[i] = a[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-
-        nrm = 0.0
-        for i in range(n):
-            nrm += a[i].real * a[i].real + a[i].imag * a[i].imag
-        drift = abs(norm0 - nrm)
-        if drift > max_drift:
-            max_drift = drift
-
-        if (step + 1) % stride == 0:
-            for i in range(n):
-                out[si, i] = a[i]
-            si += 1
-
-    if si < out.shape[0]:
-        for i in range(n):
-            out[si, i] = a[i]
-    return max_drift
-
-
-def _rk4_numpy(w, energies, kind, p0, p1, p2, dt, n_steps, stride, a0, out):
-    """Vectorised numpy twin of :func:`_rk4_loop` (same sampling contract)."""
-    a = a0.copy()
-    norm0 = float(np.sum(a.real**2 + a.imag**2))
-    out[0] = a
-    si = 1
-    max_drift = 0.0
-    half = 0.5 * dt
-
-    for step in range(n_steps):
-        t = step * dt
-        v1 = _pulse_value_scalar(kind, p0, p1, p2, t)
-        v2 = _pulse_value_scalar(kind, p0, p1, p2, t + half)
-        v4 = _pulse_value_scalar(kind, p0, p1, p2, t + dt)
-        k1 = -1j * (energies * a + v1 * (w @ a))
+        v1 = -1j * _pulse_value_scalar(kind, p0, p1, p2, t)
+        v2 = -1j * _pulse_value_scalar(kind, p0, p1, p2, t + half)
+        v4 = -1j * _pulse_value_scalar(kind, p0, p1, p2, t + dt)
+        k1 = mie * a + v1 * (a @ w_t)
         y = a + half * k1
-        k2 = -1j * (energies * y + v2 * (w @ y))
+        k2 = mie * y + v2 * (y @ w_t)
         y = a + half * k2
-        k3 = -1j * (energies * y + v2 * (w @ y))
+        k3 = mie * y + v2 * (y @ w_t)
         y = a + dt * k3
-        k4 = -1j * (energies * y + v4 * (w @ y))
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k4 = mie * y + v4 * (y @ w_t)
+        a = a + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
-        drift = abs(norm0 - float(np.sum(a.real**2 + a.imag**2)))
-        if drift > max_drift:
-            max_drift = drift
+        np.maximum(max_drift, np.abs(norm0 - _norms(a)), out=max_drift)
         if (step + 1) % stride == 0:
             out[si] = a
             si += 1
@@ -239,44 +190,29 @@ def _jacobi_numpy(a, v, max_sweeps, tol_off):
     return -1
 
 
+rk4_core = _rk4_batch
 if NUMBA_ENABLED:
-    _pulse_value_scalar = njit(cache=True)(_pulse_value_scalar)
-    _rhs = njit(cache=True)(_rhs)
-    _rk4_loop = njit(cache=True)(_rk4_loop)
     _jacobi_loop = njit(cache=True)(_jacobi_loop)
-    rk4_core = _rk4_loop
     jacobi_core = _jacobi_loop
 else:
-    rk4_core = _rk4_numpy
     jacobi_core = _jacobi_numpy
 
 
-def run_rk4(w, energies, kind, params, dt, n_steps, stride, a0, core=None):
-    """Drive the selected RK4 kernel and return (sample_steps, amplitudes, drift).
+def run_rk4(w, energies, kind, params, dt, n_steps, stride, a0):
+    """Propagate a batch of runs with the RK4 kernel; return (sample_steps, amplitudes, drift).
 
-    ``sample_steps`` are the step indices at which the state was recorded
-    (step 0, every ``stride`` steps, and the final step).
+    ``a0`` and ``energies`` have shape ``(B, n)``, one row per run.
+    ``sample_steps`` are the step indices at which the states were recorded
+    (step 0, every ``stride`` steps, and the final step); the amplitudes have
+    shape ``(S, B, n)`` and the per-run maximum norm drift shape ``(B,)``.
     """
-    core = rk4_core if core is None else core
     sample_steps = np.arange(0, n_steps + 1, stride, dtype=np.int64)
     if sample_steps[-1] != n_steps:
         sample_steps = np.append(sample_steps, n_steps)
-    out = np.empty((sample_steps.size, a0.size), np.complex128)
-    p0, p1, p2 = params
-    drift = core(
-        np.ascontiguousarray(w, dtype=np.float64),
-        np.ascontiguousarray(energies, dtype=np.float64),
-        kind,
-        float(p0),
-        float(p1),
-        float(p2),
-        float(dt),
-        int(n_steps),
-        int(stride),
-        np.ascontiguousarray(a0, dtype=np.complex128),
-        out,
-    )
-    return sample_steps, out, float(drift)
+    a0 = np.ascontiguousarray(a0, dtype=np.complex128)
+    out = np.empty((sample_steps.size, *a0.shape), np.complex128)
+    drift = rk4_core(w, energies, kind, params, dt, n_steps, stride, a0, out)
+    return sample_steps, out, drift
 
 
 def jacobi_eigh(matrix, max_sweeps=100, rel_tol=1e-13, core=None):

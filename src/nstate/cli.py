@@ -26,13 +26,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import fit_power_law, leakage_scan
-from .errors import NUMERICAL_ERRORS, ConfigError, NStateError
-from .integrator import IntegratorConfig, default_dt, integrate, integrate_kicks
+from .errors import NUMERICAL_ERRORS, ConfigError, NonPositiveValueError, NStateError
+from .integrator import IntegratorConfig, integrate, integrate_kicks, step_count
 from .model import (
     ConstantPulse,
     CosinePulse,
@@ -139,9 +139,12 @@ def _get_float(sec: dict[str, str], key: str, default=None):
     if key not in sec:
         return default
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except ValueError as exc:
         raise ConfigError(f"key '{key}' is not a number: {sec[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got {value!r}")
+    return value
 
 
 def _get_int(sec: dict[str, str], key: str, default=None):
@@ -494,10 +497,9 @@ def cmd_simulate(args) -> int:
             traj_rk4 = integrate(setup.spec, setup.pulse, IntegratorConfig(t_end=0.0))
     else:
         if setup.method in ("rk4", "both"):
-            dt_req = setup.dt if setup.dt is not None else default_dt(setup.spec, setup.pulse)
-            n_steps = max(1, math.ceil(t_end / dt_req))
-            stride = max(1, n_steps // setup.samples)
-            cfg = IntegratorConfig(t_end=t_end, dt=dt_req, sample_stride=stride)
+            cfg = IntegratorConfig(t_end=t_end, dt=setup.dt)
+            stride = max(1, step_count(setup.spec, setup.pulse, cfg) // setup.samples)
+            cfg = replace(cfg, sample_stride=stride)
             traj_rk4 = integrate(setup.spec, setup.pulse, cfg)
         if setup.method in ("analytic", "both"):
             times = (
@@ -603,6 +605,9 @@ def cmd_leakage(args) -> int:
         raise ConfigError("ratios must stay below 1 (weak-splitting regime)")
     if any(r < 0.0 for r in ratios):
         raise ConfigError("ratios must be non-negative")
+    if not all(r > 0.0 for r in ratios):
+        # fail before the scan runs, not in the log-log fit afterwards
+        raise NonPositiveValueError("the power-law fit needs strictly positive ratios")
     chi = args.chi if args.chi is not None else 1.0
     if args.omega is not None:
         omega = args.omega

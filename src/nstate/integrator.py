@@ -54,10 +54,10 @@ class IntegratorConfig:
     richardson_check: bool = False
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end!r}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -70,10 +70,75 @@ def default_dt(spec: SystemSpec, p: Pulse) -> float:
     return 1e-3 / scale
 
 
-def _single_sample(spec: SystemSpec, p: Pulse, a0) -> Trajectory:
-    a = initial_state(spec.n) if a0 is None else np.asarray(a0, dtype=np.complex128)
-    area = pulse_area(p, 0.0)
-    return make_trajectory([0.0], [a], [area])
+def step_count(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig) -> int:
+    """Number of fixed steps for ``cfg``: ``dt`` (or :func:`default_dt`) shrunk to land on t_end."""
+    dt_req = cfg.dt if cfg.dt is not None else default_dt(spec, p)
+    n_steps = max(1, math.ceil(cfg.t_end / dt_req))
+    if n_steps > MAX_STEPS:
+        raise StepCountOverflowError(f"{n_steps} steps requested; cap is {MAX_STEPS}")
+    return n_steps
+
+
+def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Trajectory]:
+    """Propagate several systems under one pulse and one run config; one trajectory each.
+
+    Every run starts from ``a0`` (default ``e_1``).  Runs that share ``n``, the
+    coupling matrix and the resolved step count (hence ``dt``) form one batch
+    and go through a single kernel call; the others form batches of their
+    own.  Each trajectory equals what :func:`integrate` returns for that run
+    alone, and they come back in input order.  ``NormDrift`` is raised when
+    any run loses more than 1e-8 of its probability at any step end.
+    """
+    if isinstance(p, KickTrain):
+        raise TypeError("kick trains are propagated by integrate_kicks, not sampled")
+    specs = list(specs)
+
+    def start(n: int) -> np.ndarray:
+        return initial_state(n) if a0 is None else np.asarray(a0, dtype=np.complex128)
+
+    if cfg.t_end == 0.0:
+        area = pulse_area(p, 0.0)
+        return [make_trajectory([0.0], [start(spec.n)], [area]) for spec in specs]
+
+    batches: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for i, spec in enumerate(specs):
+        w = build_coupling(spec)
+        key = (spec.n, w.tobytes(), step_count(spec, p, cfg))
+        batches.setdefault(key, (w, []))[1].append(i)
+
+    kind, params = _pulse_kind(p)
+    stride = cfg.sample_stride
+    trajectories: list[Trajectory | None] = [None] * len(specs)
+    for (n, _, n_steps), (w, members) in batches.items():
+        dt = cfg.t_end / n_steps
+        energies = np.array([specs[i].energies for i in members], dtype=np.float64)
+        batch_a0 = np.tile(start(n), (len(members), 1))
+        sample_steps, amps, drift = run_rk4(
+            w, energies, kind, params, dt, n_steps, stride, batch_a0
+        )
+        # written so that a NaN drift fails the guard too
+        if not drift.max() <= NORM_DRIFT_LIMIT:
+            raise NormDriftError(f"norm drifted by {drift.max():.3e}; shrink dt below {dt:.3e}")
+
+        times = sample_steps.astype(np.float64) * dt
+        times[-1] = cfg.t_end
+        richardson = [None] * len(members)
+        if cfg.richardson_check:
+            _, amps_half, drift_half = run_rk4(
+                w, energies, kind, params, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
+            )
+            if not drift_half.max() <= NORM_DRIFT_LIMIT:
+                raise NormDriftError(f"half-step check drifted by {drift_half.max():.3e}")
+            pops = amps.real**2 + amps.imag**2
+            pops_half = amps_half.real**2 + amps_half.imag**2
+            richardson = [float(e) for e in np.max(np.abs(pops - pops_half), axis=(0, 2))]
+
+        areas = np.asarray(pulse_area(p, times), dtype=np.float64)
+        for b, i in enumerate(members):
+            trajectories[i] = make_trajectory(
+                times, amps[:, b], areas, richardson_error=richardson[b]
+            )
+    return trajectories
 
 
 def integrate(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig, a0=None) -> Trajectory:
@@ -81,44 +146,10 @@ def integrate(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig, a0=None) -> Tra
 
     Raises ``NormDrift`` when probability is lost beyond 1e-8 (the step is too
     coarse) and ``StepCountOverflow`` for runs needing more than 1e9 steps.
-    Kick trains are rejected here; use :func:`integrate_kicks`.
+    Kick trains are rejected here; use :func:`integrate_kicks`.  This is the
+    single-run case of :func:`integrate_many`.
     """
-    if isinstance(p, KickTrain):
-        raise TypeError("kick trains are propagated by integrate_kicks, not sampled")
-    if cfg.t_end == 0.0:
-        return _single_sample(spec, p, a0)
-
-    w = build_coupling(spec)
-    energies = np.asarray(spec.energies, dtype=np.float64)
-    dt_req = cfg.dt if cfg.dt is not None else default_dt(spec, p)
-    n_steps = max(1, math.ceil(cfg.t_end / dt_req))
-    if n_steps > MAX_STEPS:
-        raise StepCountOverflowError(f"{n_steps} steps requested; cap is {MAX_STEPS}")
-    dt = cfg.t_end / n_steps
-    kind, params = _pulse_kind(p)
-    start = initial_state(spec.n) if a0 is None else np.asarray(a0, dtype=np.complex128)
-
-    sample_steps, amps, drift = run_rk4(
-        w, energies, kind, params, dt, n_steps, cfg.sample_stride, start
-    )
-    if drift > NORM_DRIFT_LIMIT:
-        raise NormDriftError(f"norm drifted by {drift:.3e}; shrink dt below {dt:.3e}")
-
-    times = sample_steps.astype(np.float64) * dt
-    times[-1] = cfg.t_end
-    richardson = None
-    if cfg.richardson_check:
-        _, amps_half, drift_half = run_rk4(
-            w, energies, kind, params, 0.5 * dt, 2 * n_steps, 2 * cfg.sample_stride, start
-        )
-        if drift_half > NORM_DRIFT_LIMIT:
-            raise NormDriftError(f"half-step check drifted by {drift_half:.3e}")
-        pops = amps.real**2 + amps.imag**2
-        pops_half = amps_half.real**2 + amps_half.imag**2
-        richardson = float(np.max(np.abs(pops - pops_half)))
-
-    areas = np.asarray(pulse_area(p, times), dtype=np.float64)
-    return make_trajectory(times, amps, areas, richardson_error=richardson)
+    return integrate_many([spec], p, cfg, a0)[0]
 
 
 def integrate_kicks(

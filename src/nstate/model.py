@@ -23,7 +23,7 @@ array indices are 0-based as usual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,12 +90,21 @@ class SystemSpec:
         return all(e == self.energies[0] for e in self.energies)
 
 
+def _require_finite(pulse) -> None:
+    """Reject NaN or infinite pulse fields, naming the first offending one."""
+    for f in fields(pulse):
+        value = getattr(pulse, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(pulse).__name__}.{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CosinePulse:
     chi: float
     omega: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.omega > 0:
             raise ValueError("cosine pulse needs omega > 0")
 
@@ -103,6 +112,9 @@ class CosinePulse:
 @dataclass(frozen=True)
 class ConstantPulse:
     v0: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,7 @@ class GaussianPulse:
     width: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.width > 0:
             raise ValueError("gaussian pulse needs width > 0")
 

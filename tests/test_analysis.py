@@ -9,6 +9,8 @@ from nstate import (
     ConstantPulse,
     CosinePulse,
     IntegratorConfig,
+    StructuredCoupling,
+    SystemSpec,
     design_spec,
     design_transfer,
     evolve_analytic,
@@ -19,7 +21,7 @@ from nstate import (
     leakage_scan,
     transfer_fidelity,
 )
-from nstate.analysis import LeakagePoint
+from nstate.analysis import LeakagePoint, leakage_ladder
 from nstate.errors import (
     InsufficientPointsError,
     NonPositiveValueError,
@@ -115,6 +117,21 @@ class TestLeakageScan:
         ratios = [0.08, 0.02, 0.05]
         points = leakage_scan(3, 1, omega, ratios)
         assert [p.detuning_ratio for p in points] == ratios
+
+    def test_batched_scan_matches_point_by_point_runs(self):
+        design = design_transfer(4, 1)
+        pulse = CosinePulse(chi=1.0, omega=1.0 / (1.05 * design.area))
+        t0 = invert_area(pulse, design.area)
+        ratios = [0.0, 0.03, 0.1, 0.06]
+        points = leakage_scan(4, 1, pulse.omega, ratios)
+        for r, point in zip(ratios, points):
+            spec = SystemSpec(
+                n=4,
+                coupling=StructuredCoupling(alpha=design.alpha),
+                energies=leakage_ladder(4, r, pulse.omega),
+            )
+            p2 = integrate(spec, pulse, IntegratorConfig(t_end=t0)).populations[-1, 1]
+            assert abs(point.leakage - max(0.0, 1.0 - p2)) <= 1e-12
 
 
 class TestFitPowerLaw:

@@ -254,6 +254,12 @@ class TestLeakage:
         assert code == 2
         assert "error=InsufficientPoints" in err
 
+    def test_zero_ratio_fails_before_any_run(self, monkeypatch):
+        monkeypatch.setattr("nstate.analysis.integrate_many", lambda *_: pytest.fail("scan ran"))
+        code, out, err = run_cli(["leakage", "--n", "4", "--ratios", "0,0.05,0.1"])
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == "error=NonPositiveValue"
+
 
 class TestSelftest:
     def test_full_suite_passes(self):
@@ -292,6 +298,23 @@ class TestConfigParser:
         code, _, err = run_cli(["simulate", "--method", "bogus"])
         assert code == 2
         assert "error=Usage" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", "--n", "3", "--t-end", "inf", "--method", "rk4"], "t_end"),
+        (["simulate", "--n", "3", "--dt", "nan", "--method", "rk4"], "dt"),
+        (["simulate", "--n", "3", "--chi", "nan"], "chi"),
+        (["leakage", "--n", "4", "--ratios", "0.01,0.1", "--chi", "nan"], "chi"),
+    ],
+)
+def test_non_finite_input_exits_2_naming_the_field(argv, name):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error=Config" and name in lines[1]
+    assert "Traceback" not in err and sum(line.startswith("error=") for line in lines) == 1
 
 
 def test_console_entry_point_smoke():

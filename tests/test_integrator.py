@@ -12,6 +12,7 @@ from nstate import (
     GaussianPulse,
     IntegratorConfig,
     KickTrain,
+    StructuredCoupling,
     SystemSpec,
     convergence_order,
     design_spec,
@@ -21,10 +22,12 @@ from nstate import (
     initial_state,
     integrate,
     integrate_kicks,
+    integrate_many,
     invert_area,
     propagator,
     build_coupling,
 )
+from nstate._kernels import run_rk4
 from nstate.errors import NormDriftError, StepCountOverflowError
 
 
@@ -141,6 +144,35 @@ class TestIntegrate:
             IntegratorConfig(t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, sample_stride=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(t_end=bad)
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(t_end=1.0, dt=bad)
+
+
+def ladder(e):
+    return SystemSpec(n=3, coupling=StructuredCoupling(alpha=0.0), energies=(0.0, e, 2.0 * e))
+
+
+class TestIntegrateMany:
+    def test_batches_match_single_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("nstate.integrator.run_rk4", lambda *a: calls.append(a) or run_rk4(*a))
+        # the default step shrinks for the 5.0 ladder, and n=4 has another W
+        specs = [ladder(0.0), ladder(5.0), ladder(0.1), design_spec(4)]
+        cfg = IntegratorConfig(t_end=0.5)
+        for spec, traj in zip(specs, integrate_many(specs, ConstantPulse(1.0), cfg)):
+            single = integrate(spec, ConstantPulse(1.0), cfg)
+            assert np.max(np.abs(single.amplitudes - traj.amplitudes)) <= 1e-14
+        assert sorted(len(args[-1]) for args in calls[:3]) == [1, 1, 2]
+
+    def test_one_coarse_run_fails_its_batch(self):
+        cfg = IntegratorConfig(t_end=1.0, dt=0.01)
+        integrate_many([ladder(0.1), ladder(0.2)], ConstantPulse(1.0), cfg)
+        # E dt = 3 lies outside RK4's stability interval
+        with pytest.raises(NormDriftError, match="norm drifted by"):
+            integrate_many([ladder(0.1), ladder(150.0), ladder(0.2)], ConstantPulse(1.0), cfg)
 
 
 class TestIntegrateKicks:

@@ -1,4 +1,4 @@
-"""Both kernel paths (numba loops vs numpy fallback) must agree numerically."""
+"""The batched RK4 kernel against single runs, and the two Jacobi eigensolver paths."""
 
 import os
 import subprocess
@@ -10,38 +10,39 @@ from nstate import _kernels
 from nstate._kernels import (
     PULSE_COSINE,
     _jacobi_numpy,
-    _rk4_numpy,
     jacobi_eigh,
     run_rk4,
 )
 
 
-def random_system(rng, n=5):
+def random_system(rng, n=5, batch=1):
     w = rng.normal(size=(n, n))
     w = w + w.T
-    energies = rng.normal(size=n) * 0.1
-    a0 = np.zeros(n, np.complex128)
-    a0[0] = 1.0
+    energies = rng.normal(size=(batch, n)) * 0.1
+    a0 = np.zeros((batch, n), np.complex128)
+    a0[:, 0] = 1.0
     return w, energies, a0
 
 
 class TestRk4Paths:
-    def test_paths_agree(self):
+    def test_batch_matches_single_runs(self):
         rng = np.random.default_rng(77)
-        w, energies, a0 = random_system(rng)
-        args = (w, energies, PULSE_COSINE, (1.0, 0.8, 0.0), 1e-3, 2000, 100, a0)
-        steps_a, amps_a, drift_a = run_rk4(*args)
-        steps_b, amps_b, drift_b = run_rk4(*args, core=_rk4_numpy)
-        assert np.array_equal(steps_a, steps_b)
-        assert np.max(np.abs(amps_a - amps_b)) <= 1e-12
-        assert abs(drift_a - drift_b) <= 1e-12
+        w, energies, a0 = random_system(rng, batch=5)
+        grid = (PULSE_COSINE, (1.0, 0.8, 0.0), 1e-3, 2000, 100)
+        steps, amps, drift = run_rk4(w, energies, *grid, a0)
+        assert amps.shape == (steps.size, 5, 5) and drift.shape == (5,)
+        for b in range(5):
+            steps_b, amps_b, drift_b = run_rk4(w, energies[b : b + 1], *grid, a0[b : b + 1])
+            assert np.array_equal(steps, steps_b)
+            assert np.max(np.abs(amps[:, b] - amps_b[:, 0])) <= 1e-14
+            assert abs(drift[b] - drift_b[0]) <= 1e-14
 
     def test_sampling_layout(self):
         rng = np.random.default_rng(1)
         w, energies, a0 = random_system(rng, n=3)
         steps, amps, _ = run_rk4(w, energies, 0, (0.5, 0.0, 0.0), 0.01, 25, 10, a0)
         assert steps.tolist() == [0, 10, 20, 25]
-        assert amps.shape == (4, 3)
+        assert amps.shape == (4, 1, 3)
         assert np.array_equal(amps[0], a0)
 
     def test_norm_drift_reported(self):
@@ -49,8 +50,8 @@ class TestRk4Paths:
         w, energies, a0 = random_system(rng, n=2)
         _, _, drift_small = run_rk4(w, energies, 0, (1.0, 0.0, 0.0), 1e-4, 1000, 1000, a0)
         _, _, drift_big = run_rk4(w, energies, 0, (1.0, 0.0, 0.0), 0.5, 10, 10, a0)
-        assert drift_small < 1e-12
-        assert drift_big > drift_small
+        assert drift_small[0] < 1e-12
+        assert drift_big[0] > drift_small[0]
 
 
 class TestJacobiPaths:
@@ -94,10 +95,9 @@ class TestEnvFlag:
         assert out.stdout.strip() == "False"
 
     def test_default_state_reported(self):
-        # in this process the flag decides which core is bound
+        # one RK4 kernel; the flag decides only which Jacobi core is bound
+        assert _kernels.rk4_core is _kernels._rk4_batch
         if _kernels.NUMBA_ENABLED:
-            assert _kernels.rk4_core is _kernels._rk4_loop
             assert _kernels.jacobi_core is _kernels._jacobi_loop
         else:
-            assert _kernels.rk4_core is _kernels._rk4_numpy
             assert _kernels.jacobi_core is _kernels._jacobi_numpy

@@ -237,6 +237,20 @@ class TestKickTrainValidation:
         with pytest.raises(ValueError):
             CosinePulse(chi=1.0, omega=-1.0)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda x: CosinePulse(chi=x, omega=x), "chi"),
+            (lambda x: CosinePulse(chi=1.0, omega=x), "omega"),
+            (lambda x: ConstantPulse(v0=x), "v0"),
+            (lambda x: GaussianPulse(peak=1.0, center=x, width=1.0), "center"),
+        ],
+    )
+    def test_non_finite_field_is_named(self, make, name):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"\.{name} must be finite"):
+                make(bad)
+
 
 class TestTrajectory:
     def test_times_must_increase(self):
