@@ -8,7 +8,6 @@ power law (:mod:`nstate.analysis`).  ``nstate.cli`` provides the command-line
 front end.
 """
 
-from ._kernels import ENV_FLAG, NUMBA_ENABLED
 from .analysis import (
     LeakagePoint,
     PowerLawFit,
@@ -60,8 +59,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENV_FLAG",
-    "NUMBA_ENABLED",
     "ConstantPulse",
     "CosinePulse",
     "EigenSystem",

@@ -658,14 +658,6 @@ def _read_config(args) -> str:
 # parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="path to a [section] key=value config file")
-    sub.add_argument("--out", help="write CSV here instead of stdout")
-    sub.add_argument("--svg", help="also write a line plot to this SVG path")
-    sub.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    sub.add_argument("--seed", type=int, default=20240, help="seed for randomized checks")
-
-
 def _add_system_pulse_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n", type=int)
     sub.add_argument("--n0", type=int)  # default 1, resolved after config merge
@@ -688,11 +680,12 @@ def _add_system_pulse_flags(sub: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each subcommand registers only the flags it reads, so any other exits 2
     parser = _Parser(prog="nstate", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_design = subs.add_parser("design", help="print complete-transfer conditions")
-    _add_common(p_design)
+    p_design.add_argument("--porcelain", action="store_true", help="machine key=value output")
     _add_system_pulse_flags(p_design)
     p_design.add_argument(
         "--negative-branch", action="store_true", help="take the falling-area branch"
@@ -700,19 +693,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(func=cmd_design)
 
     p_sim = subs.add_parser("simulate", help="run analytic and/or RK4 trajectories")
-    _add_common(p_sim)
+    p_sim.add_argument("--config", help="path to a [section] key=value config file")
+    p_sim.add_argument("--out", help="write CSV here instead of stdout")
+    p_sim.add_argument("--svg", help="also write a line plot to this SVG path")
+    p_sim.add_argument("--porcelain", action="store_true", help="machine key=value output")
     _add_system_pulse_flags(p_sim)
     p_sim.add_argument("--method", choices=["analytic", "rk4", "both"])
     p_sim.set_defaults(func=cmd_simulate)
 
     p_kick = subs.add_parser("kick", help="propagate a delta-kick schedule")
-    _add_common(p_kick)
+    p_kick.add_argument("--config", help="path to a [section] key=value config file")
+    p_kick.add_argument("--out", help="write CSV here instead of stdout")
+    p_kick.add_argument("--porcelain", action="store_true", help="machine key=value output")
     _add_system_pulse_flags(p_kick)
     p_kick.add_argument("--kicks", help="t:area[:i-j] tokens, comma separated")
     p_kick.set_defaults(func=cmd_kick)
 
     p_leak = subs.add_parser("leakage", help="detuning-ratio leakage scan and fit")
-    _add_common(p_leak)
+    p_leak.add_argument("--out", help="write CSV here instead of stdout")
     p_leak.add_argument("--n", type=int)
     p_leak.add_argument("--n0", type=int, default=1)
     p_leak.add_argument("--ratios", required=True, help="comma list or geom:<lo>:<hi>:<count>")
@@ -722,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_leak.set_defaults(func=cmd_leakage)
 
     p_test = subs.add_parser("selftest", help="run the cross-module invariant suite")
-    _add_common(p_test)
+    p_test.add_argument("--seed", type=int, default=20240, help="seed for randomized checks")
     p_test.add_argument("--filter", help="run only properties whose name contains this")
     p_test.add_argument("--dt", type=float, help="override integrator steps (fault injection)")
     p_test.set_defaults(func=cmd_selftest)

@@ -25,7 +25,6 @@ from .model import (
     Pulse,
     SystemSpec,
     Trajectory,
-    _pulse_kind,
     build_coupling,
     initial_state,
     make_trajectory,
@@ -106,16 +105,13 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
         key = (spec.n, w.tobytes(), step_count(spec, p, cfg))
         batches.setdefault(key, (w, []))[1].append(i)
 
-    kind, params = _pulse_kind(p)
     stride = cfg.sample_stride
     trajectories: list[Trajectory | None] = [None] * len(specs)
     for (n, _, n_steps), (w, members) in batches.items():
         dt = cfg.t_end / n_steps
         energies = np.array([specs[i].energies for i in members], dtype=np.float64)
         batch_a0 = np.tile(start(n), (len(members), 1))
-        sample_steps, amps, drift = run_rk4(
-            w, energies, kind, params, dt, n_steps, stride, batch_a0
-        )
+        sample_steps, amps, drift = run_rk4(w, energies, p.value, dt, n_steps, stride, batch_a0)
         # written so that a NaN drift fails the guard too
         if not drift.max() <= NORM_DRIFT_LIMIT:
             raise NormDriftError(f"norm drifted by {drift.max():.3e}; shrink dt below {dt:.3e}")
@@ -125,7 +121,7 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
         richardson = [None] * len(members)
         if cfg.richardson_check:
             _, amps_half, drift_half = run_rk4(
-                w, energies, kind, params, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
+                w, energies, p.value, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
             )
             if not drift_half.max() <= NORM_DRIFT_LIMIT:
                 raise NormDriftError(f"half-step check drifted by {drift_half.max():.3e}")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     AsymmetricMatrixError,
     StructuredRequiresN3Error,
@@ -36,6 +35,15 @@ from .errors import (
 
 _ERF_VEC = np.vectorize(math.erf, otypes=[float])
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+
+
+def _require_finite(obj, names=None) -> None:
+    """Reject NaN or infinite values in the named attributes (default: every field)."""
+    for name in names or [f.name for f in fields(obj)]:
+        values = np.asarray(getattr(obj, name), dtype=np.float64)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {float(bad[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,7 @@ class StructuredCoupling:
     def __post_init__(self):
         if len(self.epsilon) != 3:
             raise ValueError("epsilon must hold three diagonal ratios")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ class ExplicitCoupling:
             raise ValueError("coupling matrix must be square")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -83,19 +93,12 @@ class SystemSpec:
         if len(energies) != self.n:
             raise ValueError(f"expected {self.n} energies, got {len(energies)}")
         object.__setattr__(self, "energies", energies)
+        _require_finite(self, ("energies",))
 
     @property
     def degenerate(self) -> bool:
         """True when every level shares the same energy."""
         return all(e == self.energies[0] for e in self.energies)
-
-
-def _require_finite(pulse) -> None:
-    """Reject NaN or infinite pulse fields, naming the first offending one."""
-    for f in fields(pulse):
-        value = getattr(pulse, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(pulse).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,9 @@ class CosinePulse:
         if not self.omega > 0:
             raise ValueError("cosine pulse needs omega > 0")
 
+    def value(self, t: float) -> float:
+        return self.chi * math.cos(self.omega * t)
+
 
 @dataclass(frozen=True)
 class ConstantPulse:
@@ -115,6 +121,9 @@ class ConstantPulse:
 
     def __post_init__(self):
         _require_finite(self)
+
+    def value(self, t: float) -> float:
+        return self.v0
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,10 @@ class GaussianPulse:
         if not self.width > 0:
             raise ValueError("gaussian pulse needs width > 0")
 
+    def value(self, t: float) -> float:
+        u = (t - self.center) / self.width
+        return self.peak * math.exp(-0.5 * u * u)
+
 
 @dataclass(frozen=True)
 class KickTrain:
@@ -137,10 +150,11 @@ class KickTrain:
 
     def __post_init__(self):
         kicks = tuple((float(t), float(a)) for t, a in self.kicks)
+        object.__setattr__(self, "kicks", kicks)
+        _require_finite(self, ("times", "areas"))
         times = [t for t, _ in kicks]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("kick times must be strictly increasing")
-        object.__setattr__(self, "kicks", kicks)
 
     @property
     def times(self) -> np.ndarray:
@@ -263,17 +277,6 @@ def build_coupling(spec: SystemSpec) -> np.ndarray:
     w[1, 1] = e2
     w.setflags(write=False)
     return w
-
-
-def _pulse_kind(p: Pulse):
-    """Map a smooth pulse onto the kernel's (kind, params) encoding."""
-    if isinstance(p, CosinePulse):
-        return _kernels.PULSE_COSINE, (p.chi, p.omega, 0.0)
-    if isinstance(p, ConstantPulse):
-        return _kernels.PULSE_CONSTANT, (p.v0, 0.0, 0.0)
-    if isinstance(p, GaussianPulse):
-        return _kernels.PULSE_GAUSSIAN, (p.peak, p.center, p.width)
-    raise TypeError(f"pulse {type(p).__name__} has no pointwise kernel form")
 
 
 def pulse_value(p: Pulse, t):

@@ -87,12 +87,6 @@ class TestFindExtrema:
 
 
 class TestLeakageScan:
-    def test_zero_ratio_no_leakage(self):
-        for n in (3, 4, 5):
-            omega = 1.0 / (1.05 * design_transfer(n, 1).area)
-            points = leakage_scan(n, 1, omega, [0.0])
-            assert points[0].leakage <= 1e-8
-
     def test_leakage_grows_with_splitting(self):
         omega = 1.0 / (1.05 * design_transfer(4, 1).area)
         points = leakage_scan(4, 1, omega, [0.02, 0.04, 0.08])

@@ -244,6 +244,15 @@ class TestKickTrainValidation:
             (lambda x: CosinePulse(chi=1.0, omega=x), "omega"),
             (lambda x: ConstantPulse(v0=x), "v0"),
             (lambda x: GaussianPulse(peak=1.0, center=x, width=1.0), "center"),
+            (
+                lambda x: SystemSpec(n=2, coupling=StructuredCoupling(1.0), energies=(0.0, x)),
+                "energies",
+            ),
+            (lambda x: StructuredCoupling(alpha=x), "alpha"),
+            (lambda x: StructuredCoupling(alpha=1.0, epsilon=(0.0, x, 0.0)), "epsilon"),
+            (lambda x: ExplicitCoupling(np.array([[0.0, 1.0], [1.0, x]])), "matrix"),
+            (lambda x: KickTrain(kicks=((0.5, 1.0), (x, 1.0))), "times"),
+            (lambda x: KickTrain(kicks=((0.5, x),)), "areas"),
         ],
     )
     def test_non_finite_field_is_named(self, make, name):

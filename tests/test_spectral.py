@@ -216,23 +216,6 @@ class TestPopulationsExact:
             p1, p2, p3 = populations_exact(rs, areas)
             assert np.max(np.abs(p1 + p2 + (n - 2) * p3 - 1.0)) <= 1e-12
 
-    def test_matches_full_matrix_route(self):
-        # sector closed forms against the n-by-n eigendecomposition + propagator
-        rng = np.random.default_rng(53)
-        for n in range(3, 9):
-            for alpha in rng.uniform(-3, 3, size=50):
-                rs = reduced_system(n, float(alpha))
-                spec = SystemSpec(n=n, coupling=StructuredCoupling(alpha=float(alpha)))
-                es = eigen_decompose(build_coupling(spec))
-                areas = rng.uniform(0.0, 10.0, size=100)
-                p1, p2, p3 = populations_exact(rs, areas)
-                weights = es.vectors[0, :]
-                amps = (np.exp(-1j * np.outer(areas, es.values)) * weights) @ es.vectors.T
-                pops = np.abs(amps) ** 2
-                assert np.max(np.abs(p1 - pops[:, 0])) <= 1e-10
-                assert np.max(np.abs(p2 - pops[:, 1])) <= 1e-10
-                assert np.max(np.abs(p3 - pops[:, 2])) <= 1e-10
-
     def test_manifold_states_stay_identical(self):
         rng = np.random.default_rng(61)
         for n in (4, 7, 10):
@@ -264,16 +247,6 @@ class TestPopulationsUniversal:
     def test_exactness_flag(self):
         assert populations_universal(1.0, 3).is_exact
         assert not populations_universal(1.0, 4).is_exact
-
-    def test_exact_everywhere_for_three_states(self):
-        design = design_transfer(3, 1)
-        rs = reduced_system(3, 0.0)
-        theta = np.arange(0.0, 4.0 * math.pi, 1e-3)
-        p1, p2, p3 = populations_exact(rs, theta * design.area / (2.0 * math.pi))
-        profile = populations_universal(theta, 3)
-        assert np.max(np.abs(p1 - profile.p1)) <= 1e-12
-        assert np.max(np.abs(p2 - profile.p2)) <= 1e-12
-        assert np.max(np.abs(p3 - profile.p3_per_state)) <= 1e-12
 
     def test_endpoint_only_for_four_states(self):
         # the profile agrees at theta in {0, 2 pi n0} but deviates mid-pulse
