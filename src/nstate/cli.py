@@ -32,7 +32,13 @@ import numpy as np
 
 from .analysis import fit_power_law, leakage_scan
 from .errors import NUMERICAL_ERRORS, ConfigError, NonPositiveValueError, NStateError
-from .integrator import IntegratorConfig, integrate, integrate_kicks, step_count
+from .integrator import (
+    IntegratorConfig,
+    check_sample_count,
+    integrate,
+    integrate_kicks,
+    step_count,
+)
 from .model import (
     ConstantPulse,
     CosinePulse,
@@ -98,38 +104,14 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
 
 
 def _merge_inline(sections, args) -> dict[str, dict[str, str]]:
-    """Inline flags override config-file entries (same keys, same parsing)."""
-    inline = {
-        "system": {
-            "n": args.n,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "epsilon": args.epsilon,
-            "energies": args.energies,
-            "matrix": args.matrix,
-        },
-        "pulse": {
-            "shape": args.pulse,
-            "chi": args.chi,
-            "omega": args.omega,
-            "v0": args.v0,
-            "peak": args.peak,
-            "center": args.center,
-            "width": args.width,
-            "kicks": getattr(args, "kicks", None),
-        },
-        "run": {
-            "t_end": args.t_end,
-            "dt": args.dt,
-            "samples": args.samples,
-            "n0": args.n0,
-            "method": getattr(args, "method", None),
-        },
-    }
+    """Inline flags override config-file entries (same keys, same parsing).
+
+    A key whose flag the subcommand does not register is left to the config.
+    """
     merged = {sec: dict(vals) for sec, vals in sections.items()}
-    for sec, vals in inline.items():
-        for key, value in vals.items():
+    for sec, keys in _KNOWN_KEYS.items():
+        for key in keys:
+            value = getattr(args, "pulse" if key == "shape" else key, None)
             if value is not None:
                 merged.setdefault(sec, {})[key] = str(value)
     return merged
@@ -317,11 +299,13 @@ def _emit(text: str, path: str | None):
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    rows = len(columns[0])
-    for m in range(rows):
-        lines.append(",".join(_fmt(col[m]) for col in columns))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns))
+    # one float64 table, formatted a row at a time: Python floats for every
+    # cell at once would hold about 1 MB more at the op's peak
+    table = np.column_stack([np.asarray(col, dtype=np.float64) for col in columns])
+    lines = [",".join(header)] + [row % tuple(cells) for cells in table]
+    lines.append("")  # the trailing newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
 def _trajectory_columns(traj: Trajectory, theta_scale: float) -> list[np.ndarray]:
@@ -350,8 +334,11 @@ def render_svg(times, p1, p2, p3_scaled, title: str) -> str:
     def ypix(y):
         return bottom - (bottom - top) * y / 1.05
 
+    xs = xpix(np.asarray(times, dtype=np.float64)).tolist()
+
     def polyline(values, dash):
-        pts = " ".join(f"{xpix(t):.2f},{ypix(v):.2f}" for t, v in zip(times, values))
+        ys = ypix(np.asarray(values, dtype=np.float64)).tolist()
+        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(xs, ys)])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline fill="none" stroke="black" stroke-width="1.3"{dash_attr} '
@@ -502,11 +489,11 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, sample_stride=stride)
             traj_rk4 = integrate(setup.spec, setup.pulse, cfg)
         if setup.method in ("analytic", "both"):
-            times = (
-                traj_rk4.times
-                if traj_rk4 is not None
-                else np.linspace(0.0, t_end, setup.samples + 1)
-            )
+            if traj_rk4 is not None:
+                times = traj_rk4.times
+            else:
+                check_sample_count(setup.samples + 1, setup.spec.n)
+                times = np.linspace(0.0, t_end, setup.samples + 1)
             traj_ana = evolve_analytic(setup.spec, setup.pulse, times)
 
     base = traj_ana if traj_ana is not None else traj_rk4
@@ -658,7 +645,7 @@ def _read_config(args) -> str:
 # parser assembly
 
 
-def _add_system_pulse_flags(sub: argparse.ArgumentParser):
+def _add_system_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n", type=int)
     sub.add_argument("--n0", type=int)  # default 1, resolved after config merge
     sub.add_argument("--alpha", type=float)
@@ -667,6 +654,9 @@ def _add_system_pulse_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--epsilon")
     sub.add_argument("--energies")
     sub.add_argument("--matrix")
+
+
+def _add_pulse_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--pulse", choices=["cosine", "constant", "gaussian", "kicks"])
     sub.add_argument("--chi", type=float)
     sub.add_argument("--omega", type=float)
@@ -674,8 +664,10 @@ def _add_system_pulse_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--peak", type=float)
     sub.add_argument("--center", type=float)
     sub.add_argument("--width", type=float)
+
+
+def _add_run_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--dt", type=float)
     sub.add_argument("--samples", type=int)
 
 
@@ -686,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = subs.add_parser("design", help="print complete-transfer conditions")
     p_design.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    _add_system_pulse_flags(p_design)
+    p_design.add_argument("--n", type=int)
+    p_design.add_argument("--n0", type=int)
+    _add_pulse_flags(p_design)
     p_design.add_argument(
         "--negative-branch", action="store_true", help="take the falling-area branch"
     )
@@ -697,7 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write CSV here instead of stdout")
     p_sim.add_argument("--svg", help="also write a line plot to this SVG path")
     p_sim.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    _add_system_pulse_flags(p_sim)
+    _add_system_flags(p_sim)
+    _add_pulse_flags(p_sim)
+    _add_run_flags(p_sim)
+    p_sim.add_argument("--dt", type=float)
     p_sim.add_argument("--method", choices=["analytic", "rk4", "both"])
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -705,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kick.add_argument("--config", help="path to a [section] key=value config file")
     p_kick.add_argument("--out", help="write CSV here instead of stdout")
     p_kick.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    _add_system_pulse_flags(p_kick)
+    _add_system_flags(p_kick)
+    _add_run_flags(p_kick)
     p_kick.add_argument("--kicks", help="t:area[:i-j] tokens, comma separated")
     p_kick.set_defaults(func=cmd_kick)
 

@@ -72,6 +72,12 @@ class StepCountOverflowError(NStateError):
     code = "StepCountOverflow"
 
 
+class SampleCountOverflowError(NStateError):
+    """The requested samples would need an unbounded amplitude allocation."""
+
+    code = "SampleCountOverflow"
+
+
 class OutOfRangeError(NStateError):
     """A query time fell outside the trajectory's sampled span."""
 

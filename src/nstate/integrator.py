@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import run_rk4
-from .errors import NormDriftError, StepCountOverflowError
+from .errors import NormDriftError, SampleCountOverflowError, StepCountOverflowError
 from .model import (
     KickTrain,
     Pulse,
@@ -35,6 +35,15 @@ from .spectral import eigen_decompose, evolve_analytic, propagator
 
 NORM_DRIFT_LIMIT = 1e-8
 MAX_STEPS = 10**9
+MAX_SAMPLE_ELEMENTS = 2**25
+
+
+def check_sample_count(rows: int, width: int) -> None:
+    """Raise ``SampleCountOverflow`` before allocating ``rows`` samples of ``width`` amplitudes."""
+    if rows * width > MAX_SAMPLE_ELEMENTS:
+        raise SampleCountOverflowError(
+            f"{rows} samples of {width} amplitudes requested; cap is {MAX_SAMPLE_ELEMENTS} elements"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,11 @@ def default_dt(spec: SystemSpec, p: Pulse) -> float:
 def step_count(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig) -> int:
     """Number of fixed steps for ``cfg``: ``dt`` (or :func:`default_dt`) shrunk to land on t_end."""
     dt_req = cfg.dt if cfg.dt is not None else default_dt(spec, p)
-    n_steps = max(1, math.ceil(cfg.t_end / dt_req))
-    if n_steps > MAX_STEPS:
-        raise StepCountOverflowError(f"{n_steps} steps requested; cap is {MAX_STEPS}")
-    return n_steps
+    # an overflowing drive scale makes the heuristic step 0: that run has no step count
+    steps = cfg.t_end / dt_req if dt_req > 0 else math.inf
+    if steps > MAX_STEPS:
+        raise StepCountOverflowError(f"{steps:.4g} steps requested; cap is {MAX_STEPS}")
+    return max(1, math.ceil(steps))
 
 
 def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Trajectory]:
@@ -106,6 +116,8 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
         batches.setdefault(key, (w, []))[1].append(i)
 
     stride = cfg.sample_stride
+    for (n, _, n_steps), (_, members) in batches.items():
+        check_sample_count(-(-n_steps // stride) + 1, len(members) * n)
     trajectories: list[Trajectory | None] = [None] * len(specs)
     for (n, _, n_steps), (w, members) in batches.items():
         dt = cfg.t_end / n_steps
@@ -184,6 +196,7 @@ def integrate_kicks(
     energies = np.asarray(spec.energies, dtype=np.float64)
     active = [(t, a) for t, a in train.kicks if t <= t_end]
 
+    check_sample_count(max(2, samples) + 2 * len(active), spec.n)
     grid = [np.linspace(0.0, t_end, max(2, samples))] if t_end > 0 else [np.array([0.0])]
     for t_kick, _ in active:
         if t_kick > 0.0:

@@ -11,7 +11,10 @@ from state 1 stay inside the 3-dimensional symmetric sector spanned by
 (state 1, state 2, the symmetrised manifold of states 3..n), and that sector
 is solved in closed form here: sector roots, the mode-mixing inverse, exact
 populations, and the complete-transfer design (alpha = -(n-3)/3 together with
-a quantised pulse area).
+a quantised pulse area).  The exact route ``evolve_analytic`` works in that
+sector too: for every structured coupling it eigendecomposes the 3-by-3
+restriction of W and maps the modes back through the sector basis, while an
+explicit matrix goes through the full n-by-n eigensolve.
 
 A universal closed-form population profile in the angle
 ``theta = 2 pi n0 A(t)/A(t0)`` is also provided.  It is exact for n = 3 and is
@@ -257,22 +260,51 @@ def design_spec(n: int, n0: int = 1) -> SystemSpec:
     return SystemSpec(n=n, coupling=StructuredCoupling(alpha=design.alpha))
 
 
+def launch_sector(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """W restricted to the smallest invariant subspace holding e_1, and its basis.
+
+    For a structured coupling with n >= 3 the basis columns are e_1, e_2 and
+    ``s = (e_3 + ... + e_n) / sqrt(n-2)``, and the 3-by-3 matrix holds for every
+    alpha, beta, gamma and epsilon.  Explicit matrices and n = 2 return W
+    itself with the identity basis.
+    """
+    c = spec.coupling
+    if isinstance(c, ExplicitCoupling) or spec.n == 2:
+        return build_coupling(spec), np.eye(spec.n)
+    e1, e2, e3 = c.epsilon
+    r = math.sqrt(spec.n - 2)
+    w = np.array(
+        [
+            [e1, c.alpha, c.beta * r],
+            [c.alpha, e2, c.gamma * r],
+            [c.beta * r, c.gamma * r, e3 + c.gamma * (spec.n - 3)],
+        ]
+    )
+    basis = np.zeros((spec.n, 3))
+    basis[0, 0] = basis[1, 1] = 1.0
+    basis[2:, 2] = 1.0 / r
+    return w, basis
+
+
 def evolve_analytic(spec: SystemSpec, p: Pulse, times) -> Trajectory:
     """Evolve a degenerate system exactly at the given sample times.
 
     Amplitudes are ``U(A(t)) e_1`` times the global phase from the common
-    energy offset.  Norm is preserved to rounding.  Raises ``NotDegenerate``
+    energy offset.  ``U`` is built from the eigensystem of W in the launch
+    sector (:func:`launch_sector`), so a structured coupling costs a 3-by-3
+    eigensolve for any n.  Norm is preserved to rounding.  Raises ``NotDegenerate``
     when the levels are split (use the integrator for that regime).
     """
     if not spec.degenerate:
         raise NotDegenerateError("analytic evolution requires equal level energies")
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    w = build_coupling(spec)
+    w, basis = launch_sector(spec)
     es = eigen_decompose(w)
+    vectors = basis @ es.vectors
     areas = np.asarray(pulse_area(p, times), dtype=np.float64)
-    launch_weights = es.vectors.T @ initial_state(spec.n)
+    launch_weights = vectors.T @ initial_state(spec.n)
     phases = np.exp(-1j * np.outer(areas, es.values))
-    amps = (phases * launch_weights) @ es.vectors.T
+    amps = (phases * launch_weights) @ vectors.T
     offset = spec.energies[0]
     if offset != 0.0:
         amps = amps * np.exp(-1j * offset * times)[:, None]

@@ -9,10 +9,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nstate
-from nstate.cli import main, parse_config_text
+from nstate.cli import _csv_text, main, parse_config_text, render_svg
 from nstate.errors import ConfigError
 
 BASE_HEADER = "t,A,theta,P1,P2,P3_per_state,P3_total,norm"
@@ -163,6 +164,15 @@ class TestSimulate:
         )
         assert code == 3
         assert "error=NormDrift" in err
+
+    def test_sample_count_overflow_exits_2_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid allocated"))
+        code, out, err = run_cli(
+            ["simulate", "--n", "3", "--samples", "2000000000", "--method", "analytic"]
+        )
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error=")]
+        assert errors == ["error=SampleCountOverflow"] and "Traceback" not in err
 
     def test_kick_shape_rejected(self):
         code, _, err = run_cli(["simulate", "--n", "2", "--pulse", "kicks"])
@@ -327,6 +337,12 @@ def test_non_finite_input_exits_2_naming_the_field(argv, name):
         (["leakage", "--n", "4", "--ratios", "0.01,0.1", "--porcelain"], "--porcelain"),
         (["selftest", "--filter", "model", "--out", "s.csv"], "--out"),
         (["simulate", "--n", "3", "--seed", "7"], "--seed"),
+        (["design", "--n", "3", "--alpha", "5"], "--alpha"),
+        (["design", "--n", "3", "--energies", "0,1,2"], "--energies"),
+        (["design", "--n", "3", "--t-end", "9"], "--t-end"),
+        (["kick", "--n", "3", "--kicks", "1:1", "--chi", "5"], "--chi"),
+        (["kick", "--n", "3", "--kicks", "1:1", "--pulse", "cosine"], "--pulse"),
+        (["kick", "--n", "3", "--kicks", "1:1", "--dt", "0.1"], "--dt"),
     ],
 )
 def test_flag_the_subcommand_never_reads_exits_2(argv, flag, tmp_path, monkeypatch):
@@ -335,6 +351,33 @@ def test_flag_the_subcommand_never_reads_exits_2(argv, flag, tmp_path, monkeypat
     assert code == 2 and out == ""
     assert err.splitlines()[0] == "error=Usage" and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_text_matches_per_cell_format():
+    columns = [
+        np.array([0.0, -0.0, 1e-300, 1e17]),
+        np.array([np.nan, np.inf, -1.0 / 3.0, 2.5]),
+        np.array([1, 2, 3, 4]),  # integer columns print as floats
+    ]
+    expected = "a,b,c\n" + "".join(
+        ",".join(f"{float(col[m]):.17g}" for col in columns) + "\n" for m in range(4)
+    )
+    assert _csv_text(["a", "b", "c"], columns) == expected
+    assert _csv_text(["a"], [np.array([])]) == "a\n"
+
+
+def test_svg_points_match_per_point_pixels():
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(-2.0, 7.0, 50))
+    values = [rng.uniform(-0.1, 1.1, 50) for _ in range(3)]
+    svg = render_svg(times, *values, title="t")
+    t0, span = times[0], times[-1] - times[0]
+    for ys in values:
+        pts = " ".join(
+            f"{64.0 + 532.0 * (t - t0) / span:.2f},{356.0 - 320.0 * y / 1.05:.2f}"
+            for t, y in zip(times, ys)
+        )
+        assert f'points="{pts}"' in svg
 
 
 def test_console_entry_point_smoke():

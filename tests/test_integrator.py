@@ -27,7 +27,7 @@ from nstate import (
     build_coupling,
 )
 from nstate._kernels import run_rk4
-from nstate.errors import NormDriftError, StepCountOverflowError
+from nstate.errors import NormDriftError, SampleCountOverflowError, StepCountOverflowError
 
 
 def two_state(energies=()):
@@ -75,6 +75,15 @@ class TestIntegrate:
     def test_step_overflow_rejected(self):
         with pytest.raises(StepCountOverflowError):
             integrate(design_spec(3), ConstantPulse(1.0), IntegratorConfig(t_end=2.0, dt=1e-10))
+        # a drive so strong that the step heuristic underflows to 0
+        with pytest.raises(StepCountOverflowError):
+            integrate(design_spec(3), ConstantPulse(1e308), IntegratorConfig(t_end=2.0))
+
+    def test_sample_count_overflow_rejected_before_the_kernel(self, monkeypatch):
+        monkeypatch.setattr("nstate.integrator.run_rk4", lambda *a: pytest.fail("kernel ran"))
+        # about 2e8 steps, under MAX_STEPS, and every one of them a sample row
+        with pytest.raises(SampleCountOverflowError):
+            integrate(design_spec(3), designed_pulse(3), IntegratorConfig(t_end=1e5))
 
     def test_kick_train_rejected(self):
         with pytest.raises(TypeError):
@@ -158,6 +167,12 @@ class TestIntegrateMany:
 
 
 class TestIntegrateKicks:
+    def test_sample_count_overflow_rejected_before_the_grid(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid allocated"))
+        train = KickTrain(kicks=((1.0, 1.0),))
+        with pytest.raises(SampleCountOverflowError):
+            integrate_kicks(design_spec(3), train, 2.0, samples=2 * 10**9)
+
     def test_single_kick_transfers_permanently(self):
         train = KickTrain(kicks=((1.0, math.pi / 2.0),))
         traj = integrate_kicks(two_state(), train, t_end=4.0)

@@ -8,6 +8,7 @@ import pytest
 from nstate import (
     ConstantPulse,
     CosinePulse,
+    ExplicitCoupling,
     StructuredCoupling,
     SystemSpec,
     build_coupling,
@@ -23,6 +24,7 @@ from nstate import (
     propagator,
     reduced_system,
 )
+from nstate import _kernels
 from nstate.errors import EvenN0Error, NotDegenerateError, NTooSmallError
 
 
@@ -366,6 +368,31 @@ class TestEvolveAnalytic:
             t0 = invert_area(pulse, design.area)
             traj = evolve_analytic(design_spec(n), pulse, [t0])
             assert traj.populations[-1, 1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_sector_route_matches_explicit_matrix(self):
+        # any alpha, beta, gamma and epsilon, not just the designed family
+        rng = np.random.default_rng(11)
+        pulse = CosinePulse(chi=1.3, omega=0.7)
+        times = np.linspace(0.0, 4.0, 25)
+        for n in range(3, 10):
+            for _ in range(3):
+                alpha, beta, gamma = rng.uniform(-2.0, 2.0, 3)
+                eps = tuple(rng.uniform(-1.0, 1.0, 3))
+                spec = SystemSpec(n=n, coupling=StructuredCoupling(alpha, beta, gamma, eps))
+                explicit = SystemSpec(n=n, coupling=ExplicitCoupling(build_coupling(spec)))
+                got = evolve_analytic(spec, pulse, times).amplitudes
+                want = evolve_analytic(explicit, pulse, times).amplitudes
+                assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_structured_coupling_solves_a_3x3_sector(self, monkeypatch):
+        shapes = []
+        jacobi = _kernels.jacobi_eigh
+        monkeypatch.setattr(_kernels, "jacobi_eigh", lambda m: shapes.append(m.shape) or jacobi(m))
+        design = design_transfer(48, 1)
+        pulse = CosinePulse(chi=1.0, omega=1.0 / (1.05 * design.area))
+        traj = evolve_analytic(design_spec(48), pulse, [invert_area(pulse, design.area)])
+        assert shapes == [(3, 3)] and traj.amplitudes.shape == (1, 48)
+        assert traj.populations[-1, 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_kick_train_area_steps(self):
         # the analytic route handles kick trains through the step-area function
