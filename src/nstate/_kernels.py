@@ -147,13 +147,18 @@ def jacobi_eigh(matrix):
     once the off-diagonal norm is at most ``JACOBI_REL_TOL`` times the
     Frobenius norm.  Eigenvectors follow a deterministic sign convention: the
     first component larger than 1e-12 in magnitude is made positive.
-    Exhausting the sweep budget raises ``ValueError`` at this level; the
-    spectral module maps that onto its own error taxonomy.
+    Exhausting the sweep budget, or a Frobenius norm that overflows, raises
+    ``ValueError`` at this level; the spectral module maps that onto its own
+    error taxonomy.
     """
     a = np.array(matrix, dtype=np.float64, order="C", copy=True)
     n = a.shape[0]
     v = np.eye(n, dtype=np.float64)
-    fro = math.sqrt(float(np.sum(a * a)))
+    with np.errstate(over="ignore"):
+        fro = math.sqrt(float(np.sum(a * a)))
+    if not math.isfinite(fro):
+        # an infinite tolerance would return the diagonal unrotated
+        raise ValueError("the Frobenius norm of the matrix overflows")
     if jacobi_core(a, v, JACOBI_REL_TOL * fro) < 0:
         raise ValueError("jacobi sweeps exhausted without convergence")
     vals = np.diag(a).copy()

@@ -18,7 +18,11 @@ Conventions
   0 success, 1 selftest failure, 2 usage/configuration, 3 numerical failure.
 
 Config files are flat ``key = value`` lines under ``[system]``, ``[pulse]``
-and ``[run]`` headers; unknown keys are rejected rather than ignored.
+and ``[run]`` headers, and each key has the flag ``--`` plus its name (``-``
+for ``_``; ``shape`` is ``--pulse``).  One table says which subcommands and
+pulse shapes read each key.  A key that the subcommand or the pulse shape does
+not read exits 2 with ``error=Config`` (an unregistered flag with
+``error=Usage``), so no input is silently ignored.  Flags override the file.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +60,51 @@ from .spectral import design_transfer, design_transfer_2state, evolve_analytic
 CSV_COLUMNS = ["t", "A", "theta", "P1", "P2", "P3_per_state", "P3_total", "norm"]
 RK4_COLUMNS = ["P1_rk4", "P2_rk4", "P3_per_state_rk4", "P3_total_rk4", "norm_rk4"]
 
-_KNOWN_KEYS = {
-    "system": {"n", "alpha", "beta", "gamma", "epsilon", "energies", "matrix"},
-    "pulse": {"shape", "chi", "omega", "v0", "peak", "center", "width", "kicks"},
-    "run": {"t_end", "dt", "samples", "n0", "method"},
+
+class _Key(NamedTuple):
+    """One input: its config section, its type, and who reads it."""
+
+    section: str
+    type: type
+    commands: str  # the subcommands that read the key, space separated
+    shapes: str = ""  # the pulse shapes that read it; empty: read whatever the shape
+    flag: str = ""  # default: "--" and the key with "_" as "-"
+    choices: tuple | None = None
+    positive: bool = False
+    help: str | None = None
+
+
+_SHAPES = ("cosine", "constant", "gaussian", "kicks")
+
+# The one table of config keys and their flags: it registers each subcommand's
+# flags, checks each config file against what the subcommand reads, and
+# merges the two (flags win).
+_KEYS = {
+    "n": _Key("system", int, "design simulate kick leakage"),
+    "n0": _Key("run", int, "design simulate kick leakage"),
+    "alpha": _Key("system", float, "simulate kick"),
+    "beta": _Key("system", float, "simulate kick"),
+    "gamma": _Key("system", float, "simulate kick"),
+    "epsilon": _Key("system", str, "simulate kick"),
+    "energies": _Key("system", str, "simulate kick"),
+    "matrix": _Key("system", str, "simulate kick"),
+    "shape": _Key("pulse", str, "design simulate", flag="--pulse", choices=_SHAPES),
+    "chi": _Key("pulse", float, "design simulate leakage", "cosine"),
+    "omega": _Key("pulse", float, "design simulate leakage", "cosine"),
+    "v0": _Key("pulse", float, "design simulate", "constant"),
+    "peak": _Key("pulse", float, "design simulate", "gaussian"),
+    "center": _Key("pulse", float, "design simulate", "gaussian"),
+    "width": _Key("pulse", float, "design simulate", "gaussian"),
+    "t_end": _Key("run", float, "simulate kick"),
+    "samples": _Key("run", int, "simulate kick", positive=True),
+    "dt": _Key("run", float, "simulate leakage selftest", positive=True),
+    "method": _Key("run", str, "simulate", choices=("analytic", "rk4", "both")),
+    "kicks": _Key("pulse", str, "kick", "kicks", help="t:area[:i-j] tokens, comma separated"),
 }
+
+# The pulse shape each subcommand drives unless a shape is given; only design
+# and simulate take one, and a kick config may restate its own.
+_DEFAULT_SHAPE = {"design": None, "simulate": "cosine", "kick": "kicks", "leakage": "cosine"}
 
 
 def _fmt(x: float) -> str:
@@ -79,8 +124,12 @@ class _Parser(argparse.ArgumentParser):
 # configuration handling
 
 
-def parse_config_text(text: str) -> dict[str, dict[str, str]]:
-    """Parse flat ``[section]`` / ``key = value`` lines; unknown keys are fatal."""
+def parse_config_text(text: str, command: str | None = None) -> dict[str, dict[str, str]]:
+    """Parse flat ``[section]`` / ``key = value`` lines.
+
+    A key the table does not place in its section is fatal, and so, when
+    ``command`` is given, is a key that subcommand does not read.
+    """
     sections: dict[str, dict[str, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -89,53 +138,74 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in _KNOWN_KEYS:
+            if current not in ("system", "pulse", "run"):
                 raise ConfigError(f"unknown section [{current}] at line {lineno}")
             sections.setdefault(current, {})
             continue
         if "=" not in line or current is None:
             raise ConfigError(f"expected 'key = value' inside a section at line {lineno}")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _KNOWN_KEYS[current]:
+        key, value = key.strip().lower(), value.strip()
+        if key not in _KEYS or _KEYS[key].section != current:
             raise ConfigError(f"unknown key '{key}' in section [{current}] at line {lineno}")
-        sections[current][key] = value.strip()
+        restates_shape = key == "shape" and value.lower() == _DEFAULT_SHAPE.get(command)
+        if command and command not in _KEYS[key].commands.split() and not restates_shape:
+            raise ConfigError(
+                f"key '{key}' in section [{current}] at line {lineno} is not read by {command}"
+            )
+        sections[current][key] = value
     return sections
 
 
-def _merge_inline(sections, args) -> dict[str, dict[str, str]]:
-    """Inline flags override config-file entries (same keys, same parsing).
+def _inputs(args) -> dict:
+    """The subcommand's inputs: config entries overridden by flags, shape resolved.
 
-    A key whose flag the subcommand does not register is left to the config.
+    A pulse key that the resolved pulse shape does not read is fatal.
     """
-    merged = {sec: dict(vals) for sec, vals in sections.items()}
-    for sec, keys in _KNOWN_KEYS.items():
-        for key in keys:
-            value = getattr(args, "pulse" if key == "shape" else key, None)
-            if value is not None:
-                merged.setdefault(sec, {})[key] = str(value)
-    return merged
+    values = {}
+    if getattr(args, "config", None):
+        for section in parse_config_text(_read_config(args), args.command).values():
+            values.update(section)
+    for key in _KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    shape = _get(values, "shape", _DEFAULT_SHAPE.get(args.command))
+    if shape is not None:
+        values["shape"] = shape
+    for key in values:
+        if _KEYS[key].shapes and shape not in _KEYS[key].shapes.split():
+            reader = f"pulse shape {shape}" if shape else f"{args.command} without --pulse"
+            raise ConfigError(f"key '{key}' in section [pulse] is not read by {reader}")
+    return values
 
 
-def _get_float(sec: dict[str, str], key: str, default=None):
-    if key not in sec:
+def _get(values: dict, key: str, default=None):
+    """``values[key]`` parsed as the table's type for ``key``, or ``default``."""
+    if key not in values:
         return default
+    spec = _KEYS[key]
     try:
-        value = float(sec[key])
+        value = spec.type(values[key])
     except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not a number: {sec[key]!r}") from exc
-    if not math.isfinite(value):
+        kind = "an integer" if spec.type is int else "a number"
+        raise ConfigError(f"key '{key}' is not {kind}: {values[key]!r}") from exc
+    if spec.type is float and not math.isfinite(value):
         raise ConfigError(f"key '{key}' must be finite, got {value!r}")
+    if spec.positive and not value > 0:
+        raise ConfigError(f"key '{key}' must be positive, got {value!r}")
+    if spec.choices:
+        value = value.lower()
+        if value not in spec.choices:
+            choices = ", ".join(spec.choices)
+            raise ConfigError(f"key '{key}' must be one of {choices}, got {value!r}")
     return value
 
 
-def _get_int(sec: dict[str, str], key: str, default=None):
-    if key not in sec:
-        return default
-    try:
-        return int(sec[key])
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not an integer: {sec[key]!r}") from exc
+def _required_n(values: dict) -> int:
+    n = _get(values, "n")
+    if n is None:
+        raise ConfigError("missing required key 'n' ([system] n or --n)")
+    return n
 
 
 def _parse_float_list(text: str, key: str) -> list[float]:
@@ -159,62 +229,44 @@ class RunSetup:
     method: str
 
 
-def build_run_setup(sections: dict[str, dict[str, str]]) -> RunSetup:
-    system = sections.get("system", {})
-    pulse_sec = sections.get("pulse", {})
-    run = sections.get("run", {})
+def build_run_setup(values: dict) -> RunSetup:
+    n = _required_n(values)
+    n0 = _get(values, "n0", 1)
 
-    n = _get_int(system, "n")
-    if n is None:
-        raise ConfigError("missing required key 'n' in [system]")
-    n0 = _get_int(run, "n0", 1)
-
-    if "matrix" in system:
-        rows = [_parse_float_list(r, "matrix") for r in system["matrix"].split(";")]
+    if "matrix" in values:
+        rows = [_parse_float_list(r, "matrix") for r in values["matrix"].split(";")]
         coupling = ExplicitCoupling(np.array(rows, dtype=np.float64))
     else:
-        alpha = _get_float(system, "alpha")
+        alpha = _get(values, "alpha")
         if alpha is None:
             # default to the designed launch-to-target ratio for this n
             # (for two states the single coupling is the envelope itself)
             alpha = 1.0 if n == 2 else design_transfer(n, n0).alpha
         eps = (0.0, 0.0, 0.0)
-        if "epsilon" in system:
-            values = _parse_float_list(system["epsilon"], "epsilon")
-            if len(values) != 3:
+        if "epsilon" in values:
+            eps = tuple(_parse_float_list(values["epsilon"], "epsilon"))
+            if len(eps) != 3:
                 raise ConfigError("'epsilon' needs exactly three values")
-            eps = tuple(values)
         coupling = StructuredCoupling(
             alpha=alpha,
-            beta=_get_float(system, "beta", 1.0),
-            gamma=_get_float(system, "gamma", 1.0),
+            beta=_get(values, "beta", 1.0),
+            gamma=_get(values, "gamma", 1.0),
             epsilon=eps,
         )
     energies = ()
-    if "energies" in system:
-        energies = tuple(_parse_float_list(system["energies"], "energies"))
-    try:
-        spec = SystemSpec(n=n, coupling=coupling, energies=energies)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    pulse, relabels = _build_pulse(pulse_sec, n, n0)
-
-    samples = _get_int(run, "samples", 400)
-    if samples < 1:
-        raise ConfigError("'samples' must be positive")
-    method = run.get("method", "both").lower()
-    if method not in ("analytic", "rk4", "both"):
-        raise ConfigError(f"unknown method {method!r}")
+    if "energies" in values:
+        energies = tuple(_parse_float_list(values["energies"], "energies"))
+    spec = SystemSpec(n=n, coupling=coupling, energies=energies)
+    pulse, relabels = _build_pulse(values, n, n0)
     return RunSetup(
         spec=spec,
         pulse=pulse,
         relabels=relabels,
-        t_end=_get_float(run, "t_end"),
-        dt=_get_float(run, "dt"),
-        samples=samples,
+        t_end=_get(values, "t_end"),
+        dt=_get(values, "dt"),
+        samples=_get(values, "samples", 400),
         n0=n0,
-        method=method,
+        method=_get(values, "method", "both"),
     )
 
 
@@ -222,43 +274,33 @@ def _design_area(n: int, n0: int) -> float:
     return design_transfer_2state(n0) if n == 2 else design_transfer(n, n0).area
 
 
-def _build_pulse(sec: dict[str, str], n: int, n0: int):
-    """Build the pulse; cosine omega defaults to chi / (1.05 * design area)."""
-    shape = sec.get("shape", "cosine").lower()
+def _build_pulse(values: dict, n: int, n0: int):
+    """Build the ``values["shape"]`` pulse; cosine omega defaults to chi / (1.05 * design area)."""
+    shape = values["shape"]
     relabels = None
     if shape == "cosine":
-        chi = _get_float(sec, "chi", 1.0)
-        omega = _get_float(sec, "omega")
+        chi = _get(values, "chi", 1.0)
+        omega = _get(values, "omega")
         if omega is None:
             omega = abs(chi) / (1.05 * abs(_design_area(n, n0)))
         pulse = CosinePulse(chi=chi, omega=omega)
     elif shape == "constant":
-        v0 = _get_float(sec, "v0")
+        v0 = _get(values, "v0")
         if v0 is None:
             raise ConfigError("constant pulse needs 'v0'")
         pulse = ConstantPulse(v0=v0)
     elif shape == "gaussian":
-        peak = _get_float(sec, "peak")
-        width = _get_float(sec, "width")
+        peak = _get(values, "peak")
+        width = _get(values, "width")
         if peak is None or width is None:
             raise ConfigError("gaussian pulse needs 'peak' and 'width'")
-        pulse = GaussianPulse(peak=peak, center=_get_float(sec, "center", 0.0), width=width)
-    elif shape == "kicks":
-        if "kicks" not in sec:
-            pulse = KickTrain(kicks=())
-        else:
-            kicks, relabels = _parse_kicks(sec["kicks"])
-            pulse = _make_kick_train(kicks)
+        pulse = GaussianPulse(peak=peak, center=_get(values, "center", 0.0), width=width)
+    elif "kicks" not in values:
+        pulse = KickTrain(kicks=())
     else:
-        raise ConfigError(f"unknown pulse shape {shape!r}")
+        kicks, relabels = _parse_kicks(values["kicks"])
+        pulse = KickTrain(kicks=tuple(kicks))
     return pulse, relabels
-
-
-def _make_kick_train(kicks) -> KickTrain:
-    try:
-        return KickTrain(kicks=tuple(kicks))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _parse_kicks(text: str):
@@ -415,33 +457,20 @@ def _report(lines_machine: list[str], lines_human: list[str], args, data_on_stdo
 # subcommands
 
 
-def _design_pulse_from_args(args, n0: int):
-    if args.pulse is None:
-        return None
-    sec = {"shape": args.pulse}
-    for key in ("chi", "omega", "v0", "peak", "center", "width"):
-        value = getattr(args, key)
-        if value is not None:
-            sec[key] = str(value)
-    n = args.n if args.n is not None else 3
-    pulse, _ = _build_pulse(sec, n, n0)
-    return pulse
-
-
 def cmd_design(args) -> int:
-    if args.n is None:
-        raise ConfigError("design needs --n")
-    if args.n < 2:
+    values = _inputs(args)
+    n = _required_n(values)
+    if n < 2:
         raise ConfigError("design needs n >= 2")
-    n0 = args.n0 if args.n0 is not None else 1
-    pairs: list[tuple[str, str]] = [("n", str(args.n)), ("n0", str(n0))]
-    if args.n == 2:
+    n0 = _get(values, "n0", 1)
+    pairs: list[tuple[str, str]] = [("n", str(n)), ("n0", str(n0))]
+    if n == 2:
         area = design_transfer_2state(n0)
         if args.negative_branch:
             area = -area
         pairs.append(("A0", _fmt(area)))
     else:
-        design = design_transfer(args.n, n0, negative=args.negative_branch)
+        design = design_transfer(n, n0, negative=args.negative_branch)
         area = design.area
         pairs += [
             ("alpha", _fmt(design.alpha)),
@@ -450,8 +479,8 @@ def cmd_design(args) -> int:
             ("k", str(design.k)),
             ("k_prime", str(design.k_prime)),
         ]
-    pulse = _design_pulse_from_args(args, n0)
-    if pulse is not None:
+    if "shape" in values:
+        pulse, _ = _build_pulse(values, n, n0)
         pairs.append(("t0", _fmt(invert_area(pulse, area))))
     machine = [f"{key}={value}" for key, value in pairs]
     human = [f"{key} = {value}" for key, value in pairs]
@@ -467,8 +496,7 @@ def _resolve_t_end(setup: RunSetup) -> float:
 
 
 def cmd_simulate(args) -> int:
-    sections = parse_config_text(_read_config(args)) if args.config else {}
-    setup = build_run_setup(_merge_inline(sections, args))
+    setup = build_run_setup(_inputs(args))
     if isinstance(setup.pulse, KickTrain):
         raise ConfigError("simulate drives smooth pulses; use the kick command for trains")
     t_end = _resolve_t_end(setup)
@@ -541,10 +569,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_kick(args) -> int:
-    sections = parse_config_text(_read_config(args)) if args.config else {}
-    merged = _merge_inline(sections, args)
-    merged.setdefault("pulse", {})["shape"] = "kicks"
-    setup = build_run_setup(merged)
+    setup = build_run_setup(_inputs(args))
     train = setup.pulse
     if setup.t_end is not None:
         t_end = setup.t_end
@@ -585,8 +610,8 @@ def _parse_ratios(text: str) -> list[float]:
 
 
 def cmd_leakage(args) -> int:
-    if args.n is None:
-        raise ConfigError("leakage needs --n")
+    values = _inputs(args)
+    n = _required_n(values)
     ratios = _parse_ratios(args.ratios)
     if any(r >= 1.0 for r in ratios):
         raise ConfigError("ratios must stay below 1 (weak-splitting regime)")
@@ -595,12 +620,9 @@ def cmd_leakage(args) -> int:
     if not all(r > 0.0 for r in ratios):
         # fail before the scan runs, not in the log-log fit afterwards
         raise NonPositiveValueError("the power-law fit needs strictly positive ratios")
-    chi = args.chi if args.chi is not None else 1.0
-    if args.omega is not None:
-        omega = args.omega
-    else:
-        omega = abs(chi) / (1.05 * abs(design_transfer(args.n, args.n0).area))
-    points = leakage_scan(args.n, args.n0, omega, ratios, chi=chi, dt=args.dt)
+    n0 = _get(values, "n0", 1)
+    pulse, _ = _build_pulse(values, n, n0)
+    points = leakage_scan(n, n0, pulse.omega, ratios, chi=pulse.chi, dt=_get(values, "dt"))
     fit = fit_power_law(points)
     csv = _csv_text(
         ["ratio", "leakage"],
@@ -619,9 +641,8 @@ def cmd_leakage(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    results = run_selftest(
-        name_filter=args.filter, dt_override=args.dt, seed=args.seed
-    )
+    dt = _get(_inputs(args), "dt")
+    results = run_selftest(name_filter=args.filter, dt_override=dt, seed=args.seed)
     failures = 0
     for res in results:
         if res.ok:
@@ -645,84 +666,37 @@ def _read_config(args) -> str:
 # parser assembly
 
 
-def _add_system_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--n0", type=int)  # default 1, resolved after config merge
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--epsilon")
-    sub.add_argument("--energies")
-    sub.add_argument("--matrix")
-
-
-def _add_pulse_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--pulse", choices=["cosine", "constant", "gaussian", "kicks"])
-    sub.add_argument("--chi", type=float)
-    sub.add_argument("--omega", type=float)
-    sub.add_argument("--v0", type=float)
-    sub.add_argument("--peak", type=float)
-    sub.add_argument("--center", type=float)
-    sub.add_argument("--width", type=float)
-
-
-def _add_run_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--samples", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand registers only the flags it reads, so any other exits 2
     parser = _Parser(prog="nstate", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    out = ("--out", dict(help="write CSV here instead of stdout"))
+    config = ("--config", dict(help="path to a [section] key=value config file"))
+    porcelain = ("--porcelain", dict(action="store_true", help="machine key=value output"))
 
-    p_design = subs.add_parser("design", help="print complete-transfer conditions")
-    p_design.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    p_design.add_argument("--n", type=int)
-    p_design.add_argument("--n0", type=int)
-    _add_pulse_flags(p_design)
-    p_design.add_argument(
-        "--negative-branch", action="store_true", help="take the falling-area branch"
-    )
-    p_design.set_defaults(func=cmd_design)
+    def add(command, func, text, *own):
+        sub = subs.add_parser(command, help=text)
+        for flag, kwargs in own:
+            sub.add_argument(flag, **kwargs)
+        for key, spec in _KEYS.items():
+            if command in spec.commands.split():
+                flag = spec.flag or "--" + key.replace("_", "-")
+                sub.add_argument(
+                    flag, dest=key, type=spec.type, choices=spec.choices, help=spec.help
+                )
+        sub.set_defaults(func=func)
 
-    p_sim = subs.add_parser("simulate", help="run analytic and/or RK4 trajectories")
-    p_sim.add_argument("--config", help="path to a [section] key=value config file")
-    p_sim.add_argument("--out", help="write CSV here instead of stdout")
-    p_sim.add_argument("--svg", help="also write a line plot to this SVG path")
-    p_sim.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    _add_system_flags(p_sim)
-    _add_pulse_flags(p_sim)
-    _add_run_flags(p_sim)
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--method", choices=["analytic", "rk4", "both"])
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_kick = subs.add_parser("kick", help="propagate a delta-kick schedule")
-    p_kick.add_argument("--config", help="path to a [section] key=value config file")
-    p_kick.add_argument("--out", help="write CSV here instead of stdout")
-    p_kick.add_argument("--porcelain", action="store_true", help="machine key=value output")
-    _add_system_flags(p_kick)
-    _add_run_flags(p_kick)
-    p_kick.add_argument("--kicks", help="t:area[:i-j] tokens, comma separated")
-    p_kick.set_defaults(func=cmd_kick)
-
-    p_leak = subs.add_parser("leakage", help="detuning-ratio leakage scan and fit")
-    p_leak.add_argument("--out", help="write CSV here instead of stdout")
-    p_leak.add_argument("--n", type=int)
-    p_leak.add_argument("--n0", type=int, default=1)
-    p_leak.add_argument("--ratios", required=True, help="comma list or geom:<lo>:<hi>:<count>")
-    p_leak.add_argument("--omega", type=float)
-    p_leak.add_argument("--chi", type=float)
-    p_leak.add_argument("--dt", type=float)
-    p_leak.set_defaults(func=cmd_leakage)
-
-    p_test = subs.add_parser("selftest", help="run the cross-module invariant suite")
-    p_test.add_argument("--seed", type=int, default=20240, help="seed for randomized checks")
-    p_test.add_argument("--filter", help="run only properties whose name contains this")
-    p_test.add_argument("--dt", type=float, help="override integrator steps (fault injection)")
-    p_test.set_defaults(func=cmd_selftest)
-
+    branch = dict(action="store_true", help="take the falling-area branch")
+    add("design", cmd_design, "print complete-transfer conditions",
+        porcelain, ("--negative-branch", branch))  # fmt: skip
+    add("simulate", cmd_simulate, "run analytic and/or RK4 trajectories", config, out,
+        ("--svg", dict(help="also write a line plot to this SVG path")), porcelain)  # fmt: skip
+    add("kick", cmd_kick, "propagate a delta-kick schedule", config, out, porcelain)
+    ratios = dict(required=True, help="comma list or geom:<lo>:<hi>:<count>")
+    add("leakage", cmd_leakage, "detuning-ratio leakage scan and fit", out, ("--ratios", ratios))
+    add("selftest", cmd_selftest, "run the cross-module invariant suite",
+        ("--seed", dict(type=int, default=20240, help="seed for randomized checks")),
+        ("--filter", dict(help="run only properties whose name contains this")))  # fmt: skip
     return parser
 
 

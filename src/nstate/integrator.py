@@ -73,7 +73,8 @@ class IntegratorConfig:
 def default_dt(spec: SystemSpec, p: Pulse) -> float:
     """Step heuristic bounded by the Frobenius norm of W times the drive scale."""
     w = build_coupling(spec)
-    w_norm = math.sqrt(float(np.sum(w * w)))
+    with np.errstate(over="ignore"):  # an infinite norm makes the step 0: StepCountOverflow
+        w_norm = math.sqrt(float(np.sum(w * w)))
     scale = max(1.0, w_norm * pulse_amplitude_scale(p), max(abs(e) for e in spec.energies))
     return 1e-3 / scale
 

@@ -287,6 +287,12 @@ class TestSelftest:
         assert code == 1
         assert any(l.startswith("FAIL") for l in out.splitlines())
 
+    @pytest.mark.parametrize("dt", ["nan", "0", "-1"])
+    def test_dt_that_is_not_a_step_exits_2_before_any_property(self, dt):
+        code, out, err = run_cli(["selftest", "--filter", "model", "--dt", dt])
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == "error=Config" and "dt" in err.splitlines()[1]
+
 
 class TestConfigParser:
     def test_rejects_unknown_section(self):
@@ -351,6 +357,56 @@ def test_flag_the_subcommand_never_reads_exits_2(argv, flag, tmp_path, monkeypat
     assert code == 2 and out == ""
     assert err.splitlines()[0] == "error=Usage" and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+KICK_N3 = "[system]\nn = 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["kick"], KICK_N3 + "[pulse]\nchi = 5\n", "chi"),
+        (["kick"], KICK_N3 + "[run]\ndt = 0.1\n", "dt"),
+        (["kick"], KICK_N3 + "[run]\nmethod = rk4\n", "method"),
+        (["kick"], KICK_N3 + "[pulse]\nshape = cosine\n", "shape"),
+        (["simulate"], KICK_N3 + "[pulse]\nkicks = 1:1\n", "kicks"),
+        (["simulate"], KICK_N3 + "[pulse]\nshape = constant\nv0 = 1\nomega = 2\n", "omega"),
+        (["simulate", "--n", "3", "--pulse", "constant", "--v0", "1", "--chi", "1"], None, "chi"),
+        (["simulate", "--n", "3", "--peak", "1"], None, "peak"),
+        (["design", "--n", "3", "--chi", "1"], None, "chi"),
+    ],
+)
+def test_key_the_subcommand_or_shape_never_reads_exits_2(argv, config, key, tmp_path):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error=Config" and f"key '{key}'" in lines[1]
+    assert sum(line.startswith("error=") for line in lines) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "3", "--alpha", "1e200", "--method", "analytic", "--t-end", "1",
+         "--samples", "3"],
+        ["kick", "--n", "3", "--alpha", "1e200", "--kicks", "0.5:1"],
+        ["simulate", "--n", "3", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308"],
+        ["simulate", "--n", "3", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308",
+         "--method", "analytic"],
+        ["kick", "--n", "3", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308",
+         "--kicks", "0.5:1"],
+    ],
+)  # fmt: skip
+def test_overflowing_coupling_exits_3_without_warnings(argv):
+    code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert sum(line.startswith("error=") for line in err.splitlines()) == 1
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_csv_text_matches_per_cell_format():
