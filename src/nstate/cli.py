@@ -160,7 +160,8 @@ def parse_config_text(text: str, command: str | None = None) -> dict[str, dict[s
 def _inputs(args) -> dict:
     """The subcommand's inputs: config entries overridden by flags, shape resolved.
 
-    A pulse key that the resolved pulse shape does not read is fatal.
+    A shape the subcommand does not drive (``kicks`` outside ``kick``) is
+    fatal, and so is a pulse key that the resolved pulse shape does not read.
     """
     values = {}
     if getattr(args, "config", None):
@@ -171,6 +172,10 @@ def _inputs(args) -> dict:
             values[key] = getattr(args, key)
     shape = _get(values, "shape", _DEFAULT_SHAPE.get(args.command))
     if shape is not None:
+        # a subcommand drives a shape only when it reads every key of that shape
+        shape_keys = [spec for spec in _KEYS.values() if shape in spec.shapes.split()]
+        if any(args.command not in spec.commands.split() for spec in shape_keys):
+            raise ConfigError(f"key 'shape' is {shape}, a pulse shape {args.command} does not drive")
         values["shape"] = shape
     for key in values:
         if _KEYS[key].shapes and shape not in _KEYS[key].shapes.split():
@@ -235,6 +240,9 @@ def build_run_setup(values: dict) -> RunSetup:
 
     if "matrix" in values:
         rows = [_parse_float_list(r, "matrix") for r in values["matrix"].split(";")]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            lengths = ",".join(str(len(row)) for row in rows)
+            raise ConfigError(f"key 'matrix' needs {n} rows of {n} values, got rows of {lengths}")
         coupling = ExplicitCoupling(np.array(rows, dtype=np.float64))
     else:
         alpha = _get(values, "alpha")
@@ -497,8 +505,6 @@ def _resolve_t_end(setup: RunSetup) -> float:
 
 def cmd_simulate(args) -> int:
     setup = build_run_setup(_inputs(args))
-    if isinstance(setup.pulse, KickTrain):
-        raise ConfigError("simulate drives smooth pulses; use the kick command for trains")
     t_end = _resolve_t_end(setup)
     area0 = _design_area(setup.spec.n, setup.n0)
     theta_scale = 2.0 * math.pi * setup.n0 / area0

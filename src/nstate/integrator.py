@@ -8,11 +8,16 @@ jumps ``exp(-i A0 W)`` with exact free phases ``exp(-i E_k dt)`` between them.
 
 The step size is fixed (no adaptivity) for bit-reproducible runs; the
 ``richardson_check`` option re-runs at half step and records the population
-deviation instead.
+deviation instead.  The kernel takes each step of a batch whose runs all have
+degenerate levels as one quartic polynomial in ``W`` and, when any run has
+split levels, as the four nested RK4 stages; both are the classic RK4 step,
+and neither uses the spectral closed forms.  The envelope reaches the kernel
+as the vector :func:`~nstate.model.pulse_value`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +35,7 @@ from .model import (
     make_trajectory,
     pulse_amplitude_scale,
     pulse_area,
+    pulse_value,
 )
 from .spectral import eigen_decompose, evolve_analytic, propagator
 
@@ -120,11 +126,12 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
     for (n, _, n_steps), (_, members) in batches.items():
         check_sample_count(-(-n_steps // stride) + 1, len(members) * n)
     trajectories: list[Trajectory | None] = [None] * len(specs)
+    envelope = functools.partial(pulse_value, p)
     for (n, _, n_steps), (w, members) in batches.items():
         dt = cfg.t_end / n_steps
         energies = np.array([specs[i].energies for i in members], dtype=np.float64)
         batch_a0 = np.tile(start(n), (len(members), 1))
-        sample_steps, amps, drift = run_rk4(w, energies, p.value, dt, n_steps, stride, batch_a0)
+        sample_steps, amps, drift = run_rk4(w, energies, envelope, dt, n_steps, stride, batch_a0)
         # written so that a NaN drift fails the guard too
         if not drift.max() <= NORM_DRIFT_LIMIT:
             raise NormDriftError(f"norm drifted by {drift.max():.3e}; shrink dt below {dt:.3e}")
@@ -134,7 +141,7 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
         richardson = [None] * len(members)
         if cfg.richardson_check:
             _, amps_half, drift_half = run_rk4(
-                w, energies, p.value, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
+                w, energies, envelope, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
             )
             if not drift_half.max() <= NORM_DRIFT_LIMIT:
                 raise NormDriftError(f"half-step check drifted by {drift_half.max():.3e}")

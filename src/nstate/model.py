@@ -111,9 +111,6 @@ class CosinePulse:
         if not self.omega > 0:
             raise ValueError("cosine pulse needs omega > 0")
 
-    def value(self, t: float) -> float:
-        return self.chi * math.cos(self.omega * t)
-
 
 @dataclass(frozen=True)
 class ConstantPulse:
@@ -121,9 +118,6 @@ class ConstantPulse:
 
     def __post_init__(self):
         _require_finite(self)
-
-    def value(self, t: float) -> float:
-        return self.v0
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,6 @@ class GaussianPulse:
         _require_finite(self)
         if not self.width > 0:
             raise ValueError("gaussian pulse needs width > 0")
-
-    def value(self, t: float) -> float:
-        u = (t - self.center) / self.width
-        return self.peak * math.exp(-0.5 * u * u)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,7 @@ class TestConfigParser:
         (["simulate", "--n", "3", "--epsilon", "nan,0,0"], "epsilon"),
         (["simulate", "--n", "3", "--matrix", "nan,1,1;1,0,1;1,1,0"], "matrix"),
         (["kick", "--n", "3", "--kicks", "1:nan"], "areas"),
+        (["kick", "--n", "2", "--matrix", "0,1;1"], "matrix"),
     ],
 )
 def test_non_finite_input_exits_2_naming_the_field(argv, name):
@@ -374,6 +375,7 @@ KICK_N3 = "[system]\nn = 3\n"
         (["simulate", "--n", "3", "--pulse", "constant", "--v0", "1", "--chi", "1"], None, "chi"),
         (["simulate", "--n", "3", "--peak", "1"], None, "peak"),
         (["design", "--n", "3", "--chi", "1"], None, "chi"),
+        (["design", "--n", "3", "--pulse", "kicks"], None, "shape"),
     ],
 )
 def test_key_the_subcommand_or_shape_never_reads_exits_2(argv, config, key, tmp_path):
@@ -400,6 +402,12 @@ def test_key_the_subcommand_or_shape_never_reads_exits_2(argv, config, key, tmp_
          "--method", "analytic"],
         ["kick", "--n", "3", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308",
          "--kicks", "0.5:1"],
+        ["simulate", "--n", "3", "--alpha", "1e100", "--dt", "0.1", "--t-end", "1",
+         "--samples", "3", "--method", "rk4"],
+        ["simulate", "--n", "3", "--alpha", "1e100", "--dt", "0.1", "--t-end", "1",
+         "--samples", "3", "--method", "both"],
+        ["simulate", "--n", "3", "--alpha", "1e100", "--dt", "0.1", "--t-end", "1",
+         "--samples", "3", "--method", "rk4", "--energies", "0,0.5,1"],
     ],
 )  # fmt: skip
 def test_overflowing_coupling_exits_3_without_warnings(argv):
