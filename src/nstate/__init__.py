@@ -11,10 +11,8 @@ front end.
 from .analysis import (
     LeakagePoint,
     PowerLawFit,
-    find_extrema,
     fit_power_law,
     leakage_scan,
-    transfer_fidelity,
 )
 from .integrator import (
     IntegratorConfig,
@@ -83,7 +81,6 @@ __all__ = [
     "design_transfer_2state",
     "eigen_decompose",
     "evolve_analytic",
-    "find_extrema",
     "fit_power_law",
     "initial_state",
     "integrate",
@@ -96,5 +93,4 @@ __all__ = [
     "propagator",
     "pulse_area",
     "pulse_value",
-    "transfer_fidelity",
 ]

@@ -1,4 +1,4 @@
-"""Derived results: transfer fidelity, population extrema, and detuning leakage.
+"""Derived results: detuning leakage and its power-law fit.
 
 The leakage study perturbs a designed transfer with a uniform energy ladder
 ``E_k = (k-1) * r * omega`` (splitting-to-drive ratio ``r = omega_ij / omega``)
@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (
     InsufficientPointsError,
     NonPositiveValueError,
-    OutOfRangeError,
     UnreachableAreaError,
 )
 from .integrator import MAX_STEPS, IntegratorConfig, integrate_many
-from .model import CosinePulse, StructuredCoupling, SystemSpec, Trajectory, invert_area
+from .model import CosinePulse, StructuredCoupling, SystemSpec, invert_area
 from .spectral import design_transfer
 
 
@@ -44,52 +43,6 @@ class PowerLawFit:
     exponent: float
     coefficient: float
     r_squared: float
-
-
-def transfer_fidelity(traj: Trajectory, state: int, t0: float) -> float:
-    """Population of ``state`` (1-based) linearly interpolated at time t0."""
-    if not 1 <= state <= traj.n:
-        raise ValueError(f"state must be in 1..{traj.n}")
-    times = traj.times
-    if t0 < times[0] or t0 > times[-1]:
-        raise OutOfRangeError(f"t0={t0!r} outside sampled span [{times[0]!r}, {times[-1]!r}]")
-    return float(np.interp(t0, times, traj.populations[:, state - 1]))
-
-
-def find_extrema(traj: Trajectory, state: int) -> list[tuple[float, float]]:
-    """Interior extrema of P_state(t) from slope sign changes, parabola-refined.
-
-    Returns (time, value) pairs sorted by time; flat trajectories give an
-    empty list.
-    """
-    if not 1 <= state <= traj.n:
-        raise ValueError(f"state must be in 1..{traj.n}")
-    t = traj.times
-    y = traj.populations[:, state - 1]
-    if t.size < 3:
-        return []
-    signs = np.sign(np.diff(y))
-    segments = np.nonzero(signs)[0]
-    extrema: list[tuple[float, float]] = []
-    for left, right in zip(segments, segments[1:]):
-        if signs[left] * signs[right] >= 0:
-            continue
-        # slope flips somewhere between segment `left` and segment `right`
-        t0, t1, t2 = t[left], t[left + 1], t[right + 1]
-        y0, y1, y2 = y[left], y[left + 1], y[right + 1]
-        denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
-        a = (t2 * (y1 - y0) + t1 * (y0 - y2) + t0 * (y2 - y1)) / denom
-        b = (t2**2 * (y0 - y1) + t1**2 * (y2 - y0) + t0**2 * (y1 - y2)) / denom
-        if a == 0.0:
-            t_ext, y_ext = float(t1), float(y1)
-        else:
-            t_ext = -b / (2.0 * a)
-            if not t0 <= t_ext <= t2:
-                t_ext = float(t1)
-            c = y1 - a * t1**2 - b * t1
-            y_ext = float(a * t_ext**2 + b * t_ext + c)
-        extrema.append((float(t_ext), float(y_ext)))
-    return extrema
 
 
 def leakage_ladder(n: int, ratio: float, pulse_omega: float) -> tuple[float, ...]:

@@ -36,12 +36,6 @@ class NoConvergenceError(NStateError):
     code = "NoConvergence"
 
 
-class DegenerateRootsError(NStateError):
-    """The two symmetric-sector roots coincide (not reachable for real input)."""
-
-    code = "DegenerateRoots"
-
-
 class EvenN0Error(NStateError):
     """Transfer designs require an odd pulse-area multiple."""
 
@@ -76,12 +70,6 @@ class SampleCountOverflowError(NStateError):
     """The requested samples would need an unbounded amplitude allocation."""
 
     code = "SampleCountOverflow"
-
-
-class OutOfRangeError(NStateError):
-    """A query time fell outside the trajectory's sampled span."""
-
-    code = "OutOfRange"
 
 
 class InsufficientPointsError(NStateError):

@@ -132,9 +132,11 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
         energies = np.array([specs[i].energies for i in members], dtype=np.float64)
         batch_a0 = np.tile(start(n), (len(members), 1))
         sample_steps, amps, drift = run_rk4(w, energies, envelope, dt, n_steps, stride, batch_a0)
-        # written so that a NaN drift fails the guard too
-        if not drift.max() <= NORM_DRIFT_LIMIT:
-            raise NormDriftError(f"norm drifted by {drift.max():.3e}; shrink dt below {dt:.3e}")
+        worst = drift.max()
+        # written so that a NaN drift fails the guard too; a smaller dt cannot mend that one
+        if not worst <= NORM_DRIFT_LIMIT:
+            advice = f"shrink dt below {dt:.3e}" if math.isfinite(worst) else "the drive overflows"
+            raise NormDriftError(f"norm drifted by {worst:.3e}; {advice}")
 
         times = sample_steps.astype(np.float64) * dt
         times[-1] = cfg.t_end

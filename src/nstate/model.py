@@ -366,7 +366,7 @@ def invert_area(p: Pulse, a_target: float) -> float:
         return _bisect_area(p, target, 0.0, 2.0 * guess, tol)
 
     if isinstance(p, GaussianPulse):
-        if p.peak == 0.0 or (target > 0.0) != (p.peak > 0.0):
+        if (target > 0.0) != (p.peak > 0.0):
             raise UnreachableAreaError("gaussian pulse sign cannot reach the target")
         total = p.peak * p.width * _SQRT_HALF_PI * (
             1.0 + math.erf(p.center / (p.width * math.sqrt(2.0)))

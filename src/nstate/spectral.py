@@ -33,7 +33,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    DegenerateRootsError,
     EvenN0Error,
     NoConvergenceError,
     NotDegenerateError,
@@ -58,10 +57,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -145,29 +140,35 @@ def propagator(es: EigenSystem, area: float) -> np.ndarray:
 
 
 def reduced_system(n: int, alpha: float) -> ReducedSystem:
-    """Closed-form symmetric-sector eigensystem (beta = gamma = 1, zero diagonals)."""
+    """Closed-form symmetric-sector eigensystem (beta = gamma = 1, zero diagonals).
+
+    With ``h = (alpha - n + 3)/(n-2)`` the roots are ``y = (-h +- sqrt(h^2 + 8/(n-2)))/2``,
+    real and of opposite sign for every finite alpha, with product ``-2/(n-2)``.
+    The root of larger magnitude comes from that formula, where the two terms
+    share a sign, and the other one from the product, so neither loses digits.
+    """
     if n < 3:
         raise ValueError("the symmetric sector needs n >= 3")
     alpha = float(alpha)
     m = n - 2
-    half_sum = (n - 3.0 - alpha) / m
-    disc = ((alpha - n + 3.0) / m) ** 2 + 8.0 / m
-    root = math.sqrt(disc)
-    y_plus = 0.5 * (half_sum + root)
-    y_minus = 0.5 * (half_sum - root)
-    if y_plus == y_minus:
-        raise DegenerateRootsError("sector roots coincide")
+    h = (alpha - n + 3.0) / m
+    # halved before the sum here and after the division in minv, so that |alpha|
+    # near the largest float overflows neither
+    big = 0.5 * abs(h) + 0.5 * math.hypot(h, math.sqrt(8.0 / m))
+    small = -2.0 / m / big
+    y_plus, y_minus = (big, small) if h <= 0.0 else (-small, -big)
     z = np.array([alpha + m * y_plus, alpha + m * y_minus, -alpha])
-    d = 2.0 * (y_plus - y_minus)
+    gap = y_plus - y_minus
     minv = (
         np.array(
             [
-                [-y_minus, y_plus, y_plus - y_minus],
-                [-y_minus, y_plus, -(y_plus - y_minus)],
+                [-y_minus, y_plus, gap],
+                [-y_minus, y_plus, -gap],
                 [2.0 / m, -2.0 / m, 0.0],
             ]
         )
-        / d
+        / gap
+        / 2.0
     )
     return ReducedSystem(
         n=n,

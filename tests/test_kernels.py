@@ -15,6 +15,7 @@ from nstate import (
     integrate_many,
     pulse_value,
 )
+from nstate import _kernels
 from nstate._kernels import CHUNK, jacobi_eigh, run_rk4
 
 
@@ -85,7 +86,12 @@ class TestRk4Paths:
         assert np.max(np.abs(drift - ref_drift)) <= 1e-13
 
     @pytest.mark.parametrize("split", [0.0, 1e-9], ids=["quartic", "nested"])
-    def test_drift_is_the_largest_at_any_step_end(self, split):
+    def test_drift_is_the_largest_at_any_step_end(self, split, monkeypatch):
+        # the step form follows the energies alone: any split at all takes the nested one
+        built = []
+        for name in ("_QuarticSteps", "_NestedSteps"):
+            form = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *a, f=form: built.append(f) or f(*a))
         # at dt = 1 a step shrinks the W = 1 mode and grows the W = 2.9 one, so the
         # norm dips and climbs back: after 50 steps it is near its start again
         q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -98,6 +104,7 @@ class TestRk4Paths:
         final_drift = abs(np.vdot(amps[-1, 0], amps[-1, 0]).real - 1.0)
         assert ref_drift[0] > 10.0 * final_drift
         assert abs(drift[0] - ref_drift[0]) <= 1e-13
+        assert [f.__name__ for f in built] == ["_NestedSteps" if split else "_QuarticSteps"]
 
     def test_batch_matches_single_runs(self):
         rng = np.random.default_rng(77)
