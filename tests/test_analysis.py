@@ -30,6 +30,14 @@ class TestLeakageScan:
         leaks = [p.leakage for p in points]
         assert leaks[0] < leaks[1] < leaks[2]
 
+    def test_quadratic_regime_fit(self):
+        omega = 1.0 / (1.05 * design_transfer(4, 1).area)
+        points = leakage_scan(4, 1, omega, np.geomspace(0.01, 0.1, 8))
+        fit = fit_power_law(points)
+        assert 1.8 <= fit.exponent <= 2.2
+        assert abs(fit.coefficient) < 1.0
+        assert fit.r_squared >= 0.98
+
     def test_ratio_regime_enforced(self):
         omega = 1.0 / (1.05 * design_transfer(4, 1).area)
         with pytest.raises(ValueError):

@@ -108,6 +108,13 @@ class TestSimulate:
         ]
         assert max(conservation) <= 1e-12
 
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["simulate", "--n", "3", "--samples", "80", "--porcelain"]
+        assert run_cli(argv + ["--out", str(a)])[0] == 0
+        assert run_cli(argv + ["--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_stdout_csv_with_summary_on_stderr(self):
         code, out, err = run_cli(
             ["simulate", "--n", "2", "--pulse", "constant", "--v0", "1",

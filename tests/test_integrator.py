@@ -14,6 +14,7 @@ from nstate import (
     KickTrain,
     StructuredCoupling,
     SystemSpec,
+    convergence_order,
     design_spec,
     design_transfer,
     eigen_decompose,
@@ -89,6 +90,29 @@ class TestIntegrate:
     def test_kick_train_rejected(self):
         with pytest.raises(TypeError):
             integrate(two_state(), KickTrain(kicks=((1.0, 0.5),)), IntegratorConfig(t_end=2.0))
+
+    def test_custom_initial_state_and_time_reversal(self):
+        spec = design_spec(4)
+        t_end = 1.8
+        forward = integrate(spec, ConstantPulse(0.9), IntegratorConfig(t_end=t_end))
+        back = integrate(
+            spec,
+            ConstantPulse(-0.9),
+            IntegratorConfig(t_end=t_end),
+            a0=forward.final_amplitudes,
+        )
+        assert np.max(np.abs(back.final_amplitudes - initial_state(4))) <= 1e-7
+
+    def test_gaussian_time_reversal(self):
+        spec = design_spec(4)
+        t_end = 1.8
+        pulse = GaussianPulse(peak=1.1, center=0.8, width=0.25)
+        mirrored = GaussianPulse(peak=-1.1, center=t_end - 0.8, width=0.25)
+        forward = integrate(spec, pulse, IntegratorConfig(t_end=t_end))
+        back = integrate(
+            spec, mirrored, IntegratorConfig(t_end=t_end), a0=forward.final_amplitudes
+        )
+        assert np.max(np.abs(back.final_amplitudes - initial_state(4))) <= 1e-7
 
     def test_richardson_check_reports_tiny_deviation(self):
         traj = integrate(
@@ -238,3 +262,17 @@ class TestKickWidthLimit:
             pulse = GaussianPulse(peak=peak, center=0.5, width=width)
             traj = integrate(spec, pulse, IntegratorConfig(t_end=1.0))
             assert abs(traj.populations[-1, 1] - reference.populations[-1, 1]) <= 1e-8
+
+
+class TestConvergenceOrder:
+    def test_cosine_is_fourth_order(self):
+        order = convergence_order(design_spec(3), CosinePulse(1.0, 0.7), t_probe=2.0)
+        assert 3.7 <= order <= 4.3
+
+    def test_constant_is_fourth_order(self):
+        order = convergence_order(two_state(), ConstantPulse(1.0), t_probe=2.0)
+        assert 3.7 <= order <= 4.3
+
+    def test_zero_coupling_returns_nan(self):
+        spec = SystemSpec(n=2, coupling=ExplicitCoupling(np.zeros((2, 2))))
+        assert math.isnan(convergence_order(spec, ConstantPulse(1.0), t_probe=1.0))

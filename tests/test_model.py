@@ -83,6 +83,22 @@ class TestBuildCoupling:
         with pytest.raises(StructuredRequiresN3Error):
             build_coupling(spec)
 
+    def test_bitwise_symmetry_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n = int(rng.integers(3, 10))
+            spec = SystemSpec(
+                n=n,
+                coupling=StructuredCoupling(
+                    alpha=float(rng.normal()),
+                    beta=float(rng.normal()),
+                    gamma=float(rng.normal()),
+                    epsilon=tuple(rng.normal(size=3)),
+                ),
+            )
+            w = build_coupling(spec)
+            assert np.array_equal(w, w.T)
+
 
 class TestSystemSpec:
     def test_needs_two_states(self):
@@ -139,6 +155,20 @@ class TestPulseArea:
         quad = simpson(lambda x: pulse_value(g, x), 0.0, 3.5)
         assert exact == pytest.approx(quad, abs=1e-10)
 
+    def test_increment_matches_quadrature_all_variants(self):
+        rng = np.random.default_rng(5)
+        pulses = [
+            CosinePulse(chi=1.3, omega=0.8),
+            ConstantPulse(v0=-0.7),
+            GaussianPulse(peak=2.0, center=1.5, width=0.4),
+        ]
+        for pulse in pulses:
+            for _ in range(6):
+                t1, t2 = np.sort(rng.uniform(0.0, 6.0, size=2))
+                exact = pulse_area(pulse, t2) - pulse_area(pulse, t1)
+                quad = simpson(lambda x: pulse_value(pulse, x), t1, t2)
+                assert abs(exact - quad) <= 1e-8
+
 
 class TestInvertArea:
     def test_cosine_analytic_point(self):
@@ -164,6 +194,14 @@ class TestInvertArea:
         t0 = invert_area(pulse, -0.5)
         assert t0 > math.pi / 2
         assert pulse_area(pulse, t0) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_roundtrip_random(self):
+        rng = np.random.default_rng(17)
+        pulse = CosinePulse(chi=0.9, omega=0.55)
+        for _ in range(12):
+            target = float(rng.uniform(-0.95, 0.95)) * 0.9 / 0.55
+            t0 = invert_area(pulse, target)
+            assert abs(pulse_area(pulse, t0) - target) <= 1e-10
 
     def test_gaussian_roundtrip_and_unreachable(self):
         g = GaussianPulse(peak=1.2, center=2.0, width=0.7)

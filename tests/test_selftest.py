@@ -1,7 +1,8 @@
 """Every ``nstate selftest`` property as its own pytest case, with the default seed.
 
-Each invariant is checked in one place, its selftest property; the unit tests
-in the other files cover only cases the properties do not.
+Each invariant has a selftest property; the unit tests in the other files
+cover the cases the properties do not, and some repeat a property's check on
+fixed seeds of their own.
 """
 
 import pytest

@@ -17,6 +17,7 @@ from nstate import (
     design_transfer_2state,
     eigen_decompose,
     evolve_analytic,
+    initial_state,
     invert_area,
     populations_exact,
     populations_universal,
@@ -110,6 +111,16 @@ class TestPropagator:
         es = eigen_decompose(w4_design())
         u = propagator(es, design.area)
         assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+    def test_unitarity_and_group_law(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 9):
+            m = rng.normal(size=(n, n))
+            es = eigen_decompose(m + m.T)
+            a1, a2 = rng.uniform(-5, 5, size=2)
+            u1, u2 = propagator(es, a1), propagator(es, a2)
+            assert np.max(np.abs(u1 @ u1.conj().T - np.eye(n))) <= 1e-10
+            assert np.max(np.abs(u1 @ u2 - propagator(es, a1 + a2))) <= 1e-10
 
 
 class TestReducedSystem:
@@ -205,6 +216,26 @@ class TestPopulationsExact:
             assert np.max(np.abs(p1 - pops[0])) <= 1e-12
             assert np.max(np.abs(p2 - pops[1])) <= 1e-12
             assert np.max(np.abs(p3 - pops[2])) <= 1e-12
+
+    def test_conservation(self):
+        rng = np.random.default_rng(41)
+        for n in range(3, 9):
+            rs = reduced_system(n, float(rng.uniform(-3, 3)))
+            areas = rng.uniform(0, 12, size=100)
+            p1, p2, p3 = populations_exact(rs, areas)
+            assert np.max(np.abs(p1 + p2 + (n - 2) * p3 - 1.0)) <= 1e-12
+
+    def test_manifold_states_stay_identical(self):
+        rng = np.random.default_rng(61)
+        for n in (4, 7, 10):
+            alpha = float(rng.uniform(-3, 3))
+            es = eigen_decompose(
+                build_coupling(SystemSpec(n=n, coupling=StructuredCoupling(alpha=alpha)))
+            )
+            for area in rng.uniform(0, 8, size=20):
+                amp = propagator(es, float(area)) @ initial_state(n)
+                mags = np.abs(amp[2:])
+                assert np.max(mags) - np.min(mags) <= 1e-12
 
 
 class TestPopulationsUniversal:
