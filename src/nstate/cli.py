@@ -593,8 +593,9 @@ def cmd_kick(args) -> int:
     area0 = _design_area(setup.spec.n, setup.n0)
     theta_scale = 2.0 * math.pi * setup.n0 / area0
     _emit(_csv_text(list(CSV_COLUMNS), _trajectory_columns(traj, theta_scale)), args.out)
-    machine = [f"rows={traj.times.size}", f"kicks={len(train.kicks)}"]
-    human = [f"wrote {traj.times.size} samples through {len(train.kicks)} kicks"]
+    fired = sum(t <= t_end for t, _ in train.kicks)  # integrate_kicks applies these
+    machine = [f"rows={traj.times.size}", f"kicks={fired}"]
+    human = [f"wrote {traj.times.size} samples through {fired} kicks"]
     _report(machine, human, args, data_on_stdout=args.out is None)
     return 0
 

@@ -6,13 +6,12 @@ what the analytic route cannot: split (non-degenerate) level energies.  Delta
 kicks are never sampled numerically; they are applied as exact propagator
 jumps ``exp(-i A0 W)`` with exact free phases ``exp(-i E_k dt)`` between them.
 
-The step size is fixed (no adaptivity) for bit-reproducible runs; the
-``richardson_check`` option re-runs at half step and records the population
-deviation instead.  The kernel takes each step of a batch whose runs all have
-degenerate levels as one quartic polynomial in ``W`` and, when any run has
-split levels, as the four nested RK4 stages; both are the classic RK4 step,
-and neither uses the spectral closed forms.  The envelope reaches the kernel
-as the vector :func:`~nstate.model.pulse_value`.
+The step size is fixed (no adaptivity) for bit-reproducible runs.  The
+kernel takes each step of a batch whose runs all have degenerate levels as
+one quartic polynomial in ``W`` and, when any run has split levels, as the
+four nested RK4 stages; both are the classic RK4 step, and neither uses the
+spectral closed forms.  The envelope reaches the kernel as the vector
+:func:`~nstate.model.pulse_value`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class IntegratorConfig:
     t_end: float
     dt: float | None = None
     sample_stride: int = 1
-    richardson_check: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
@@ -140,22 +138,9 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
 
         times = sample_steps.astype(np.float64) * dt
         times[-1] = cfg.t_end
-        richardson = [None] * len(members)
-        if cfg.richardson_check:
-            _, amps_half, drift_half = run_rk4(
-                w, energies, envelope, 0.5 * dt, 2 * n_steps, 2 * stride, batch_a0
-            )
-            if not drift_half.max() <= NORM_DRIFT_LIMIT:
-                raise NormDriftError(f"half-step check drifted by {drift_half.max():.3e}")
-            pops = amps.real**2 + amps.imag**2
-            pops_half = amps_half.real**2 + amps_half.imag**2
-            richardson = [float(e) for e in np.max(np.abs(pops - pops_half), axis=(0, 2))]
-
         areas = np.asarray(pulse_area(p, times), dtype=np.float64)
         for b, i in enumerate(members):
-            trajectories[i] = make_trajectory(
-                times, amps[:, b], areas, richardson_error=richardson[b]
-            )
+            trajectories[i] = make_trajectory(times, amps[:, b], areas)
     return trajectories
 
 
@@ -176,7 +161,6 @@ def integrate_kicks(
     t_end: float,
     samples: int = 201,
     relabels=None,
-    a0=None,
 ) -> Trajectory:
     """Evolve through a kick train: free phases between kicks, exact jumps at them.
 
@@ -214,7 +198,7 @@ def integrate_kicks(
     times = np.unique(np.concatenate(grid))
 
     es = eigen_decompose(w)
-    a = initial_state(spec.n) if a0 is None else np.asarray(a0, dtype=np.complex128).copy()
+    a = initial_state(spec.n)
     t_cursor = 0.0
     next_kick = 0
     out = np.empty((times.size, spec.n), dtype=np.complex128)

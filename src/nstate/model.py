@@ -23,7 +23,7 @@ array indices are 0-based as usual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -162,9 +162,7 @@ Pulse = CosinePulse | ConstantPulse | GaussianPulse | KickTrain
 class Trajectory:
     """Time-sampled state of one run: populations, phase area, and norm.
 
-    ``populations[m, k]`` is ``|a_k|^2`` at ``times[m]``.  ``richardson_error``
-    is filled only when the integrator re-ran at half step for a convergence
-    check.
+    ``populations[m, k]`` is ``|a_k|^2`` at ``times[m]``.
     """
 
     times: np.ndarray
@@ -172,7 +170,6 @@ class Trajectory:
     populations: np.ndarray
     areas: np.ndarray
     norms: np.ndarray
-    richardson_error: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -212,7 +209,7 @@ class Trajectory:
         return self.amplitudes[-1]
 
 
-def make_trajectory(times, amplitudes, areas, richardson_error=None) -> Trajectory:
+def make_trajectory(times, amplitudes, areas) -> Trajectory:
     """Assemble a Trajectory from amplitude samples (populations and norms derived)."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     pops = amps.real**2 + amps.imag**2
@@ -222,7 +219,6 @@ def make_trajectory(times, amplitudes, areas, richardson_error=None) -> Trajecto
         populations=pops,
         areas=np.asarray(areas, dtype=np.float64),
         norms=pops.sum(axis=1),
-        richardson_error=richardson_error,
     )
 
 
@@ -270,7 +266,7 @@ def build_coupling(spec: SystemSpec) -> np.ndarray:
 
 
 def pulse_value(p: Pulse, t):
-    """Instantaneous envelope V(t).  Kick trains have no sampled value (0)."""
+    """Instantaneous envelope V(t) of a smooth pulse; kick trains have none."""
     t_arr = np.asarray(t, dtype=np.float64)
     if isinstance(p, CosinePulse):
         out = p.chi * np.cos(p.omega * t_arr)
@@ -279,8 +275,6 @@ def pulse_value(p: Pulse, t):
     elif isinstance(p, GaussianPulse):
         u = (t_arr - p.center) / p.width
         out = p.peak * np.exp(-0.5 * u * u)
-    elif isinstance(p, KickTrain):
-        out = np.zeros_like(t_arr)
     else:
         raise TypeError(f"unknown pulse type {type(p).__name__}")
     return float(out) if np.ndim(t) == 0 else out
@@ -312,8 +306,6 @@ def pulse_area(p: Pulse, t):
 def _bisect_area(p: Pulse, target: float, lo: float, hi: float, tol: float) -> float:
     f_lo = pulse_area(p, lo) - target
     f_hi = pulse_area(p, hi) - target
-    if f_lo == 0.0:
-        return lo
     if f_lo * f_hi > 0.0:
         raise UnreachableAreaError("no sign change in the bracketing interval")
     for _ in range(200):
@@ -334,8 +326,8 @@ def invert_area(p: Pulse, a_target: float) -> float:
     Found by bracketing plus bisection to an absolute tolerance of
     ``1e-12 * max(1, |a_target|)``.  Raises ``Unreachable`` when the pulse can
     never reach the requested area (cosine beyond chi/omega, constant with a
-    sign mismatch, gaussian beyond its total weight, or a kick train whose
-    partial sums skip the value).  A zero target returns t0 = 0.
+    sign mismatch, or gaussian beyond its total weight).  A zero target
+    returns t0 = 0.  Kick trains are applied as exact jumps, never inverted.
     """
     target = float(a_target)
     if not math.isfinite(target):
@@ -378,14 +370,6 @@ def invert_area(p: Pulse, a_target: float) -> float:
             hi += 4.0 * p.width
         return _bisect_area(p, target, 0.0, hi, tol)
 
-    if isinstance(p, KickTrain):
-        cum = 0.0
-        for t_i, a_i in p.kicks:
-            cum += a_i
-            if abs(cum - target) <= tol:
-                return t_i
-        raise UnreachableAreaError("no kick prefix sums to the target area")
-
     raise TypeError(f"unknown pulse type {type(p).__name__}")
 
 
@@ -397,4 +381,4 @@ def pulse_amplitude_scale(p: Pulse) -> float:
         return abs(p.v0)
     if isinstance(p, GaussianPulse):
         return abs(p.peak)
-    return 0.0
+    raise TypeError(f"unknown pulse type {type(p).__name__}")

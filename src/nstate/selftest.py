@@ -60,8 +60,6 @@ class _Context:
 
 def _simpson(f, a, b, n=2000):
     """Composite Simpson quadrature (independent of the closed-form areas)."""
-    if n % 2:
-        n += 1
     x = np.linspace(a, b, n + 1)
     y = f(x)
     h = (b - a) / n

@@ -124,6 +124,14 @@ class TestSimulate:
         assert out.splitlines()[0] == BASE_HEADER
         assert "samples" in err  # prose stays off the data stream
 
+    def test_gaussian_pulse_routes_agree(self):
+        code, out, err = run_cli(
+            ["simulate", "--n", "3", "--pulse", "gaussian", "--peak", "2", "--width", "0.5",
+             "--center", "1", "--method", "both", "--porcelain"]
+        )  # fmt: skip
+        assert code == 0 and out.startswith(BASE_HEADER)
+        assert float(porcelain_dict(err)["max_delta"]) <= 1e-6
+
     def test_zero_t_end_single_row(self, tmp_path):
         out_path = tmp_path / "zero.csv"
         code, _, _ = run_cli(
@@ -243,6 +251,14 @@ class TestKick:
         assert code == 0
         rows = read_rows(out_path)
         assert all(float(r["P1"]) == 1.0 for r in rows)
+
+    def test_kicks_after_t_end_are_not_counted(self):
+        code, _, err = run_cli(
+            ["kick", "--n", "2", "--kicks", "0.5:1,3:1", "--t-end", "1", "--porcelain"]
+        )
+        assert code == 0 and porcelain_dict(err)["kicks"] == "1"
+        code, _, err = run_cli(["kick", "--n", "2", "--kicks", "0.5:1,3:1", "--t-end", "1"])
+        assert code == 0 and "through 1 kicks" in err
 
 
 class TestLeakage:
@@ -392,6 +408,41 @@ def test_key_the_subcommand_or_shape_never_reads_exits_2(argv, config, key, tmp_
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert lines[0] == "error=Config" and f"key '{key}'" in lines[1]
+    assert sum(line.startswith("error=") for line in lines) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, error, text",
+    [
+        (["simulate", "--n", "3", "--pulse", "constant"], None, "Config", "'v0'"),
+        (["simulate", "--n", "3", "--pulse", "gaussian", "--peak", "1"], None, "Config", "'width'"),
+        (["simulate"], KICK_N3 + "[run]\nmethod = euler\n", "Config", "'euler'"),
+        (["simulate", "--n", "3", "--energies", "0,x,0"], None, "Config", "energies"),
+        (["kick", "--n", "3", "--kicks", "1"], None, "Config", "'1'"),
+        (["kick", "--n", "3", "--kicks", "a:1"], None, "Config", "'a:1'"),
+        (["kick", "--n", "3", "--kicks", "1:1:x"], None, "Config", "'1:1:x'"),
+        (["kick", "--n", "3", "--kicks", "0.5:1", "--t-end", "-1"], None, "Config", "t_end"),
+        (["design", "--n", "1"], None, "Config", "n >= 2"),
+        (["leakage", "--n", "4", "--ratios", "geom:0.01:0.1"], None, "Config", "geom:"),
+        (["leakage", "--n", "4", "--ratios", "geom:a:b:3"], None, "Config", "'geom:a:b:3'"),
+        (["leakage", "--n", "4", "--ratios", "geom:0.1:0.01:3"], None, "Config", "lo < hi"),
+        (["simulate", "--config", "missing.cfg"], None, "Config", "missing.cfg"),
+        (["simulate"], None, "Config", "'n'"),
+        (["simulate", "--n", "3", "--pulse", "gaussian", "--peak", "-1", "--width", "0.5"],
+         None, "Unreachable", "sign"),
+        (["leakage", "--n", "4", "--omega", "10", "--ratios", "0.01,0.02,0.03"],
+         None, "Unreachable", "omega"),
+    ],
+)  # fmt: skip
+def test_malformed_input_exits_2_with_one_error_line(argv, config, error, text, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == f"error={error}" and text in lines[1]
     assert sum(line.startswith("error=") for line in lines) == 1
 
 

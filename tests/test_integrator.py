@@ -114,15 +114,6 @@ class TestIntegrate:
         )
         assert np.max(np.abs(back.final_amplitudes - initial_state(4))) <= 1e-7
 
-    def test_richardson_check_reports_tiny_deviation(self):
-        traj = integrate(
-            design_spec(3),
-            ConstantPulse(1.0),
-            IntegratorConfig(t_end=1.0, dt=0.01, richardson_check=True),
-        )
-        assert traj.richardson_error is not None
-        assert 0.0 < traj.richardson_error <= 1e-8
-
     def test_sampling_stride_and_endpoint(self):
         cfg = IntegratorConfig(t_end=1.0, dt=0.0103, sample_stride=7)
         traj = integrate(two_state(), ConstantPulse(0.5), cfg)

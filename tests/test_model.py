@@ -19,7 +19,7 @@ from nstate import (
     pulse_value,
 )
 from nstate.errors import AsymmetricMatrixError, StructuredRequiresN3Error, UnreachableAreaError
-from nstate.model import Trajectory, make_trajectory
+from nstate.model import Trajectory, make_trajectory, pulse_amplitude_scale
 
 
 def simpson(f, a, b, n=4000):
@@ -125,8 +125,10 @@ class TestPulseValue:
 
     def test_kick_train_has_no_sampled_value(self):
         train = KickTrain(kicks=((1.0, math.pi / 2),))
-        assert pulse_value(train, 1.0) == 0.0
-        assert np.all(pulse_value(train, np.linspace(0, 2, 7)) == 0.0)
+        with pytest.raises(TypeError):
+            pulse_value(train, 1.0)
+        with pytest.raises(TypeError):
+            pulse_amplitude_scale(train)
 
     def test_gaussian_peak(self):
         g = GaussianPulse(peak=2.0, center=1.0, width=0.5)
@@ -218,12 +220,16 @@ class TestInvertArea:
         with pytest.raises(UnreachableAreaError):
             invert_area(g, 1.01 * total)
 
-    def test_kick_train_prefix_sums(self):
-        train = KickTrain(kicks=((1.0, 0.3), (2.0, 0.4)))
-        assert invert_area(train, 0.3) == 1.0
-        assert invert_area(train, 0.7) == 2.0
-        with pytest.raises(UnreachableAreaError):
-            invert_area(train, 0.5)
+    def test_kick_train_is_not_inverted(self):
+        with pytest.raises(TypeError):
+            invert_area(KickTrain(kicks=((1.0, 0.3), (2.0, 0.4))), 0.3)
+
+    def test_gaussian_bracket_grows_past_four_widths(self):
+        g = GaussianPulse(peak=1.0, center=0.0, width=1.0)
+        target = (1.0 - 1e-6) * math.sqrt(math.pi / 2.0)  # the area from t = 0 on
+        t0 = invert_area(g, target)
+        assert t0 > 4.0  # beyond the first bracket, center + 4 * width
+        assert abs(pulse_area(g, t0) - target) <= 1e-10
 
     def test_boundary_target_hits_turning_point(self):
         pulse = CosinePulse(chi=1.0, omega=2.0)

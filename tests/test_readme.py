@@ -1,4 +1,4 @@
-"""The README's CLI examples run unchanged and exit 0."""
+"""The README's CLI examples and library quick start run unchanged."""
 
 import io
 import re
@@ -31,3 +31,11 @@ def test_cli_examples_exit_0(tmp_path, monkeypatch):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         assert code == 0, (argv, err.getvalue())
+
+
+def test_library_quick_start_transfers_completely():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(_block("## Library quick start", "python"), {})
+    p2_exact, p2_rk4 = map(float, out.getvalue().split())
+    assert abs(p2_exact - 1.0) <= 1e-6 and abs(p2_rk4 - 1.0) <= 1e-6
