@@ -45,7 +45,6 @@ from .spectral import (
     UniversalPopulations,
     design_spec,
     design_transfer,
-    design_transfer_2state,
     eigen_decompose,
     evolve_analytic,
     populations_exact,
@@ -78,7 +77,6 @@ __all__ = [
     "default_dt",
     "design_spec",
     "design_transfer",
-    "design_transfer_2state",
     "eigen_decompose",
     "evolve_analytic",
     "fit_power_law",

@@ -55,7 +55,7 @@ from .model import (
     Trajectory,
     invert_area,
 )
-from .spectral import design_transfer, design_transfer_2state, evolve_analytic
+from .spectral import design_transfer, evolve_analytic
 
 CSV_COLUMNS = ["t", "A", "theta", "P1", "P2", "P3_per_state", "P3_total", "norm"]
 RK4_COLUMNS = ["P1_rk4", "P2_rk4", "P3_per_state_rk4", "P3_total_rk4", "norm_rk4"]
@@ -247,9 +247,7 @@ def build_run_setup(values: dict) -> RunSetup:
     else:
         alpha = _get(values, "alpha")
         if alpha is None:
-            # default to the designed launch-to-target ratio for this n
-            # (for two states the single coupling is the envelope itself)
-            alpha = 1.0 if n == 2 else design_transfer(n, n0).alpha
+            alpha = design_transfer(n, n0).alpha  # the designed launch-to-target ratio
         eps = (0.0, 0.0, 0.0)
         if "epsilon" in values:
             eps = tuple(_parse_float_list(values["epsilon"], "epsilon"))
@@ -278,20 +276,17 @@ def build_run_setup(values: dict) -> RunSetup:
     )
 
 
-def _design_area(n: int, n0: int) -> float:
-    return design_transfer_2state(n0) if n == 2 else design_transfer(n, n0).area
-
-
 def _build_pulse(values: dict, n: int, n0: int):
-    """Build the ``values["shape"]`` pulse; cosine omega defaults to chi / (1.05 * design area)."""
+    """Build the ``values["shape"]`` pulse; a cosine without omega is the design's drive."""
     shape = values["shape"]
     relabels = None
     if shape == "cosine":
         chi = _get(values, "chi", 1.0)
         omega = _get(values, "omega")
         if omega is None:
-            omega = abs(chi) / (1.05 * abs(_design_area(n, n0)))
-        pulse = CosinePulse(chi=chi, omega=omega)
+            pulse = design_transfer(n, n0).cosine(chi)
+        else:
+            pulse = CosinePulse(chi=chi, omega=omega)
     elif shape == "constant":
         v0 = _get(values, "v0")
         if v0 is None:
@@ -468,18 +463,12 @@ def _report(lines_machine: list[str], lines_human: list[str], args, data_on_stdo
 def cmd_design(args) -> int:
     values = _inputs(args)
     n = _required_n(values)
-    if n < 2:
-        raise ConfigError("design needs n >= 2")
     n0 = _get(values, "n0", 1)
+    design = design_transfer(n, n0, negative=args.negative_branch)
     pairs: list[tuple[str, str]] = [("n", str(n)), ("n0", str(n0))]
     if n == 2:
-        area = design_transfer_2state(n0)
-        if args.negative_branch:
-            area = -area
-        pairs.append(("A0", _fmt(area)))
+        pairs.append(("A0", _fmt(design.area)))
     else:
-        design = design_transfer(n, n0, negative=args.negative_branch)
-        area = design.area
         pairs += [
             ("alpha", _fmt(design.alpha)),
             ("beta", _fmt(design.beta)),
@@ -489,24 +478,17 @@ def cmd_design(args) -> int:
         ]
     if "shape" in values:
         pulse, _ = _build_pulse(values, n, n0)
-        pairs.append(("t0", _fmt(invert_area(pulse, area))))
+        pairs.append(("t0", _fmt(invert_area(pulse, design.area))))
     machine = [f"{key}={value}" for key, value in pairs]
     human = [f"{key} = {value}" for key, value in pairs]
     _report(machine, human, args, data_on_stdout=False)
     return 0
 
 
-def _resolve_t_end(setup: RunSetup) -> float:
-    if setup.t_end is not None:
-        return setup.t_end
-    area = _design_area(setup.spec.n, setup.n0)
-    return invert_area(setup.pulse, area)
-
-
 def cmd_simulate(args) -> int:
     setup = build_run_setup(_inputs(args))
-    t_end = _resolve_t_end(setup)
-    area0 = _design_area(setup.spec.n, setup.n0)
+    area0 = design_transfer(setup.spec.n, setup.n0).area
+    t_end = invert_area(setup.pulse, area0) if setup.t_end is None else setup.t_end
     theta_scale = 2.0 * math.pi * setup.n0 / area0
 
     traj_rk4 = traj_ana = None
@@ -590,8 +572,7 @@ def cmd_kick(args) -> int:
         samples=setup.samples + 1,
         relabels=setup.relabels,
     )
-    area0 = _design_area(setup.spec.n, setup.n0)
-    theta_scale = 2.0 * math.pi * setup.n0 / area0
+    theta_scale = 2.0 * math.pi * setup.n0 / design_transfer(setup.spec.n, setup.n0).area
     _emit(_csv_text(list(CSV_COLUMNS), _trajectory_columns(traj, theta_scale)), args.out)
     fired = sum(t <= t_end for t, _ in train.kicks)  # integrate_kicks applies these
     machine = [f"rows={traj.times.size}", f"kicks={fired}"]

@@ -42,12 +42,6 @@ class EvenN0Error(NStateError):
     code = "EvenN0"
 
 
-class NTooSmallError(NStateError):
-    """The partially symmetric design needs n >= 3; use the 2-state rule below."""
-
-    code = "NTooSmall"
-
-
 class NotDegenerateError(NStateError):
     """Analytic evolution is only valid when all level energies are equal."""
 

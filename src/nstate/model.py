@@ -304,10 +304,8 @@ def pulse_area(p: Pulse, t):
 
 
 def _bisect_area(p: Pulse, target: float, lo: float, hi: float, tol: float) -> float:
+    """The time in ``[lo, hi]`` at which the area crosses ``target``; the ends must straddle it."""
     f_lo = pulse_area(p, lo) - target
-    f_hi = pulse_area(p, hi) - target
-    if f_lo * f_hi > 0.0:
-        raise UnreachableAreaError("no sign change in the bracketing interval")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = pulse_area(p, mid) - target
@@ -323,16 +321,19 @@ def _bisect_area(p: Pulse, target: float, lo: float, hi: float, tol: float) -> f
 def invert_area(p: Pulse, a_target: float) -> float:
     """Smallest t0 > 0 at which the pulse has accumulated ``a_target``.
 
-    Found by bracketing plus bisection to an absolute tolerance of
+    Cosine and constant pulses invert in closed form.  A gaussian is found by
+    bracketing plus bisection to an absolute tolerance of
     ``1e-12 * max(1, |a_target|)``.  Raises ``Unreachable`` when the pulse can
     never reach the requested area (cosine beyond chi/omega, constant with a
     sign mismatch, or gaussian beyond its total weight).  A zero target
-    returns t0 = 0.  Kick trains are applied as exact jumps, never inverted.
+    returns t0 = 0.  Kick trains are applied as exact jumps, never inverted,
+    and raise ``TypeError`` like any other non-pulse.
     """
+    if not isinstance(p, (CosinePulse, ConstantPulse, GaussianPulse)):
+        raise TypeError(f"unknown pulse type {type(p).__name__}")
     target = float(a_target)
     if not math.isfinite(target):
         raise ValueError("target area must be finite")
-    tol = 1e-12 * max(1.0, abs(target))
     if target == 0.0:
         return 0.0
 
@@ -340,37 +341,29 @@ def invert_area(p: Pulse, a_target: float) -> float:
         amax = abs(p.chi) / p.omega
         if abs(target) > amax * (1.0 + 1e-12):
             raise UnreachableAreaError(f"cosine pulse area is capped at {amax!r}")
-        quarter = 0.5 * math.pi / p.omega
+        phase = math.asin(min(1.0, abs(target) / amax))
         if (target > 0.0) == (p.chi > 0.0):
             # first rising (for chi > 0) quarter-wave reaches the target
-            lo, hi = 0.0, quarter
-        else:
-            # opposite sign is first reached on the falling half-wave
-            lo, hi = quarter, 3.0 * quarter
-        if abs(target) >= amax:
-            return hi  # the turning point itself
-        return _bisect_area(p, target, lo, hi, tol)
+            return phase / p.omega
+        # opposite sign is first reached on the falling half-wave
+        return (math.pi + phase) / p.omega
 
     if isinstance(p, ConstantPulse):
         if p.v0 == 0.0 or (target > 0.0) != (p.v0 > 0.0):
             raise UnreachableAreaError("constant pulse sign cannot reach the target")
-        guess = target / p.v0
-        return _bisect_area(p, target, 0.0, 2.0 * guess, tol)
+        return target / p.v0
 
-    if isinstance(p, GaussianPulse):
-        if (target > 0.0) != (p.peak > 0.0):
-            raise UnreachableAreaError("gaussian pulse sign cannot reach the target")
-        total = p.peak * p.width * _SQRT_HALF_PI * (
-            1.0 + math.erf(p.center / (p.width * math.sqrt(2.0)))
-        )
-        if abs(target) >= abs(total) * (1.0 - 1e-12):
-            raise UnreachableAreaError("target exceeds the gaussian's total area")
-        hi = p.center + 4.0 * p.width
-        while abs(pulse_area(p, hi)) < abs(target):
-            hi += 4.0 * p.width
-        return _bisect_area(p, target, 0.0, hi, tol)
-
-    raise TypeError(f"unknown pulse type {type(p).__name__}")
+    if (target > 0.0) != (p.peak > 0.0):
+        raise UnreachableAreaError("gaussian pulse sign cannot reach the target")
+    total = p.peak * p.width * _SQRT_HALF_PI * (
+        1.0 + math.erf(p.center / (p.width * math.sqrt(2.0)))
+    )
+    if abs(target) >= abs(total) * (1.0 - 1e-12):
+        raise UnreachableAreaError("target exceeds the gaussian's total area")
+    hi = p.center + 4.0 * p.width
+    while abs(pulse_area(p, hi)) < abs(target):
+        hi += 4.0 * p.width
+    return _bisect_area(p, target, 0.0, hi, 1e-12 * max(1.0, abs(target)))
 
 
 def pulse_amplitude_scale(p: Pulse) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,11 +67,7 @@ def _simpson(f, a, b, n=2000):
 
 
 def _two_state_spec(energies=()) -> SystemSpec:
-    return SystemSpec(
-        n=2,
-        coupling=ExplicitCoupling(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        energies=energies,
-    )
+    return replace(design_spec(2), energies=energies)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +225,12 @@ def check_propagator_unitary_group(ctx: _Context):
 # integrator properties
 
 
-def _designed_pulse(n: int, n0: int = 1) -> CosinePulse:
-    area = design_transfer(n, n0).area if n >= 3 else n0 * math.pi / 2.0
-    return CosinePulse(chi=1.0, omega=1.0 / (1.05 * area))
-
-
 def check_integrator_matches_analytic(ctx: _Context):
     for n in (2, 3, 4, 5):
         spec = design_spec(n)
-        pulse = _designed_pulse(n)
-        area = design_transfer(n, 1).area if n >= 3 else math.pi / 2.0
-        t_end = invert_area(pulse, area)
+        design = design_transfer(n)
+        pulse = design.cosine()
+        t_end = invert_area(pulse, design.area)
         cfg = IntegratorConfig(t_end=t_end, dt=ctx.dt, sample_stride=25)
         traj = integrate(spec, pulse, cfg)
         exact = evolve_analytic(spec, pulse, traj.times)
@@ -309,7 +300,7 @@ def check_fourth_order(ctx: _Context):
 
 def check_zero_ratio_zero_leakage(ctx: _Context):
     for n in (3, 4, 5):
-        omega = 1.0 / (1.05 * design_transfer(n, 1).area)
+        omega = design_transfer(n).cosine().omega
         points = leakage_scan(n, 1, omega, [0.0], dt=ctx.dt)
         assert points[0].leakage <= 1e-8, f"n={n}: {points[0].leakage}"
 
@@ -328,7 +319,7 @@ def check_fit_scale_equivariance(ctx: _Context):
 
 
 def check_quadratic_leakage_regime(ctx: _Context):
-    omega = 1.0 / (1.05 * design_transfer(4, 1).area)
+    omega = design_transfer(4).cosine().omega
     points = leakage_scan(4, 1, omega, np.geomspace(0.01, 0.1, 6), dt=ctx.dt)
     fit = fit_power_law(points)
     assert 1.8 <= fit.exponent <= 2.2, f"exponent {fit.exponent}"

@@ -32,13 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    EvenN0Error,
-    NoConvergenceError,
-    NotDegenerateError,
-    NTooSmallError,
-)
+from .errors import EvenN0Error, NoConvergenceError, NotDegenerateError
 from .model import (
+    CosinePulse,
     ExplicitCoupling,
     Pulse,
     StructuredCoupling,
@@ -72,17 +68,10 @@ class ReducedSystem:
 
     n: int
     alpha: float
-    x_roots: tuple[float, float, float]
     y_plus: float
     y_minus: float
     z: np.ndarray
     minv: np.ndarray
-
-    @property
-    def mode_matrix(self) -> np.ndarray:
-        """Rows (1, x_j, (n-2) y_j): the forward map from (a1, a2, a3) to modes."""
-        y = (self.y_plus, self.y_minus, 0.0)
-        return np.array([[1.0, x, (self.n - 2) * yy] for x, yy in zip(self.x_roots, y)])
 
 
 @dataclass(frozen=True)
@@ -100,6 +89,14 @@ class TransferDesign:
     area: float
     k: int
     k_prime: int
+
+    def cosine(self, chi: float = 1.0) -> CosinePulse:
+        """The default drive ``chi cos(omega t)`` with ``omega = |chi| / (1.05 |A0|)``.
+
+        Its area peaks at ``1.05 |A0|``, so it reaches ``A0`` a little before a
+        turning point.
+        """
+        return CosinePulse(chi=chi, omega=abs(chi) / (1.05 * abs(self.area)))
 
 
 class UniversalPopulations(NamedTuple):
@@ -173,7 +170,6 @@ def reduced_system(n: int, alpha: float) -> ReducedSystem:
     return ReducedSystem(
         n=n,
         alpha=alpha,
-        x_roots=(1.0, 1.0, -1.0),
         y_plus=y_plus,
         y_minus=y_minus,
         z=z,
@@ -227,12 +223,20 @@ def design_transfer(n: int, n0: int = 1, negative: bool = False) -> TransferDesi
     ``A0 = +- n0 pi sqrt(9 / (18 (n-2) + 4 (n-3)^2))`` with ``n0`` odd.  The
     ``negative`` flag selects the falling branch of the area; the sector phase
     multiples then flip sign accordingly.
+
+    Two states couple through the envelope alone (alpha = beta = 1, so
+    ``W = [[0, 1], [1, 0]]``) and transfer at ``A0 = +- n0 pi / 2``.  Their two
+    modes give ``k = +- n0``; there is no third mode, so ``k_prime`` is 0.
     """
-    if n < 3:
-        raise NTooSmallError("designs need n >= 3; use design_transfer_2state for n = 2")
+    if n < 2:
+        raise ValueError(f"designs need n >= 2, got {n}")
     if n0 % 2 == 0:
         raise EvenN0Error(f"n0 must be odd, got {n0}")
     sign = -1 if negative else 1
+    if n == 2:
+        return TransferDesign(
+            n=2, n0=n0, alpha=1.0, beta=1.0, area=sign * n0 * math.pi / 2.0, k=sign * n0, k_prime=0
+        )
     s = 18.0 * (n - 2) + 4.0 * (n - 3) ** 2
     area = sign * n0 * math.pi * math.sqrt(9.0 / s)
     return TransferDesign(
@@ -246,19 +250,9 @@ def design_transfer(n: int, n0: int = 1, negative: bool = False) -> TransferDesi
     )
 
 
-def design_transfer_2state(n0: int = 1) -> float:
-    """Transfer area for the plain 2-state system: A0 = n0 pi / 2, n0 odd."""
-    if n0 % 2 == 0:
-        raise EvenN0Error(f"n0 must be odd, got {n0}")
-    return n0 * math.pi / 2.0
-
-
 def design_spec(n: int, n0: int = 1) -> SystemSpec:
     """A degenerate SystemSpec carrying the designed coupling for n states."""
-    if n == 2:
-        return SystemSpec(n=2, coupling=ExplicitCoupling(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    design = design_transfer(n, n0)
-    return SystemSpec(n=n, coupling=StructuredCoupling(alpha=design.alpha))
+    return SystemSpec(n=n, coupling=StructuredCoupling(alpha=design_transfer(n, n0).alpha))
 
 
 def launch_sector(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:

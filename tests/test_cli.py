@@ -80,6 +80,9 @@ class TestDesign:
         code, out, _ = run_cli(["design", "--n", "2", "--porcelain"])
         assert code == 0
         assert float(porcelain_dict(out)["A0"]) == pytest.approx(math.pi / 2)
+        code, out, _ = run_cli(["design", "--n", "2", "--n0", "3", "--negative-branch", "--porcelain"])
+        assert code == 0
+        assert out.splitlines() == ["n=2", "n0=3", "A0=-4.7123889803846897"]
 
 
 class TestSimulate:

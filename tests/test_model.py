@@ -220,9 +220,42 @@ class TestInvertArea:
         with pytest.raises(UnreachableAreaError):
             invert_area(g, 1.01 * total)
 
+    def test_gaussian_cap_tolerance(self):
+        # within 1e-12 (relative) of the total weight is out of reach; 2e-12 short is not
+        for center in (2.0, 0.3):
+            g = GaussianPulse(peak=1.2, center=center, width=0.7)
+            erf_lo = math.erf(-center / (0.7 * math.sqrt(2.0)))
+            total = 1.2 * 0.7 * math.sqrt(0.5 * math.pi) * (1.0 - erf_lo)
+            with pytest.raises(UnreachableAreaError):
+                invert_area(g, total * (1.0 - 0.5e-12))
+            t0 = invert_area(g, total * (1.0 - 2e-12))
+            assert abs(pulse_area(g, t0) - total * (1.0 - 2e-12)) <= 1e-10
+
+    def test_gaussian_matches_erfinv_root(self):
+        # the bisection's stop rule lands within 1e-14 of the exact root
+        from scipy.special import erfinv
+
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            peak = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
+            center, width = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
+            lo = math.erf(-center / (width * math.sqrt(2.0)))  # in [-1, 0]
+            arg = float(rng.uniform(max(lo, -0.9), 0.9))  # the erf argument at the root
+            scale = peak * width * math.sqrt(0.5 * math.pi)
+            target = scale * (arg - lo)
+            t0 = invert_area(GaussianPulse(peak, center, width), target)
+            t_ref = center + width * math.sqrt(2.0) * float(erfinv(target / scale + lo))
+            assert abs(t0 - t_ref) <= 1e-14 * max(1.0, abs(t_ref))
+
     def test_kick_train_is_not_inverted(self):
-        with pytest.raises(TypeError):
-            invert_area(KickTrain(kicks=((1.0, 0.3), (2.0, 0.4))), 0.3)
+        # the type is checked before the zero-target shortcut
+        for pulse, target in [
+            (KickTrain(kicks=((1.0, 0.3), (2.0, 0.4))), 0.3),
+            (KickTrain(kicks=((1.0, 0.3),)), 0.0),
+            ("not a pulse", 0.0),
+        ]:
+            with pytest.raises(TypeError):
+                invert_area(pulse, target)
 
     def test_gaussian_bracket_grows_past_four_widths(self):
         g = GaussianPulse(peak=1.0, center=0.0, width=1.0)

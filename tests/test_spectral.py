@@ -14,7 +14,6 @@ from nstate import (
     build_coupling,
     design_spec,
     design_transfer,
-    design_transfer_2state,
     eigen_decompose,
     evolve_analytic,
     initial_state,
@@ -25,7 +24,7 @@ from nstate import (
     reduced_system,
 )
 from nstate import _kernels
-from nstate.errors import EvenN0Error, NotDegenerateError, NTooSmallError
+from nstate.errors import EvenN0Error, NotDegenerateError
 
 
 def charpoly_roots(w):
@@ -161,7 +160,11 @@ class TestReducedSystem:
         for _ in range(20):
             n = int(rng.integers(3, 12))
             rs = reduced_system(n, float(rng.uniform(-4, 4)))
-            assert np.max(np.abs(rs.mode_matrix @ rs.minv - np.eye(3))) <= 1e-12
+            # rows (1, x_j, (n-2) y_j) with x = (1, 1, -1): the forward map to modes
+            forward = np.array(
+                [[1.0, 1.0, (n - 2) * rs.y_plus], [1.0, 1.0, (n - 2) * rs.y_minus], [1.0, -1.0, 0.0]]
+            )
+            assert np.max(np.abs(forward @ rs.minv - np.eye(3))) <= 1e-12
 
     def test_initial_condition_from_inverse_rows(self):
         rs = reduced_system(5, 0.8)
@@ -294,14 +297,19 @@ class TestDesignTransfer:
         design = design_transfer(4, 1)
         assert design.alpha == pytest.approx(-1.0 / 3.0)
         assert design.area == pytest.approx(3.0 * math.pi / math.sqrt(40.0), abs=1e-14)
+        pulse = design.cosine(-2.0)  # the default drive: |chi| / omega = 1.05 |A0|
+        assert pulse.chi == -2.0
+        assert pulse.omega == pytest.approx(2.0 / (1.05 * 3.0 * math.pi / math.sqrt(40.0)))
 
     def test_even_n0_rejected(self):
         with pytest.raises(EvenN0Error):
             design_transfer(5, 2)
+        with pytest.raises(EvenN0Error):
+            design_transfer(2, 2)
 
     def test_small_n_rejected(self):
-        with pytest.raises(NTooSmallError):
-            design_transfer(2, 1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            design_transfer(1, 1)
 
     def test_phase_multiples(self):
         for n in range(3, 11):
@@ -325,10 +333,13 @@ class TestDesignTransfer:
         assert p2 == pytest.approx(1.0, abs=1e-10)
 
     def test_two_state_rule(self):
-        assert design_transfer_2state(1) == pytest.approx(math.pi / 2)
-        assert design_transfer_2state(3) == pytest.approx(3 * math.pi / 2)
-        with pytest.raises(EvenN0Error):
-            design_transfer_2state(2)
+        for n0 in (1, 3, 5):
+            for sign, negative in ((1, False), (-1, True)):
+                design = design_transfer(2, n0, negative=negative)
+                assert design.area == sign * (n0 * math.pi / 2.0)
+                assert (design.alpha, design.beta, design.k) == (1.0, 1.0, sign * n0)
+        w = build_coupling(design_spec(2))
+        assert w.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
 
 
 class TestEvolveAnalytic:
