@@ -142,7 +142,7 @@ class _NestedSteps:
         return self.ends[rows]
 
 
-def _rk4_batch(w, energies, envelope, dt, n_steps, stride, a0, out):
+def _rk4_batch(w, energies, envelope, dt, n_steps, sample_steps, a0, out):
     """Classic fourth-order Runge-Kutta for a batch of runs over ``n_steps`` fixed steps.
 
     Row ``b`` of ``a0`` and ``energies`` is one run of
@@ -153,15 +153,15 @@ def _rk4_batch(w, energies, envelope, dt, n_steps, stride, a0, out):
     four nested stages (:class:`_NestedSteps`).  Steps go in chunks of at most
     ``CHUNK``: the envelope is evaluated for a whole chunk at once and the
     norm drift checked at every step end of it.  Samples the states into
-    ``out`` (shape ``(S, B, n)``) at step 0, every ``stride`` steps, and at the
-    final step.  Returns the largest probability-norm drift of each run over
-    all step ends, so the caller can reject too-coarse runs.
+    ``out`` (shape ``(S, B, n)``) at the ascending step indices
+    ``sample_steps``, the first of which is step 0.  Returns the largest
+    probability-norm drift of each run over all step ends, so the caller can
+    reject too-coarse runs.
     """
     energies = np.asarray(energies, dtype=np.float64)
     chunk = max(1, min(CHUNK, n_steps))
     norm0 = _norms(a0)
     out[0] = a0
-    si = 1
     max_drift = np.zeros(a0.shape[0])
     # an overflowing drive turns the states inf or NaN; the drift reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,11 +174,8 @@ def _rk4_batch(w, energies, envelope, dt, n_steps, stride, a0, out):
             ends = stepper.advance(envelope(t), envelope(t + 0.5 * dt), envelope(t + dt))
             drift = np.abs(norm0 - (ends * ends).sum(axis=-1)).max(axis=0)
             np.maximum(max_drift, drift, out=max_drift)
-            rows = np.arange(stride - 1 - first % stride, t.size, stride)
-            if first + t.size == n_steps and n_steps % stride:
-                rows = np.append(rows, t.size - 1)
-            out[si : si + rows.size] = stepper.states(rows)
-            si += rows.size
+            lo, hi = np.searchsorted(sample_steps, (first + 1, first + t.size + 1))
+            out[lo:hi] = stepper.states(sample_steps[lo:hi] - (first + 1))
     return max_drift
 
 
@@ -250,7 +247,7 @@ def run_rk4(w, energies, envelope, dt, n_steps, stride, a0):
         sample_steps = np.append(sample_steps, n_steps)
     a0 = np.ascontiguousarray(a0, dtype=np.complex128)
     out = np.empty((sample_steps.size, *a0.shape), np.complex128)
-    drift = rk4_core(w, energies, envelope, dt, n_steps, stride, a0, out)
+    drift = rk4_core(w, energies, envelope, dt, n_steps, sample_steps, a0, out)
     return sample_steps, out, drift
 
 

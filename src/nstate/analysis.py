@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveValueError,
     UnreachableAreaError,
 )
-from .integrator import MAX_STEPS, IntegratorConfig, integrate_many
+from .integrator import IntegratorConfig, integrate_many
 from .model import CosinePulse, StructuredCoupling, SystemSpec, invert_area
 from .spectral import design_transfer
 
@@ -86,7 +86,7 @@ def leakage_scan(
         for r in ratios
     ]
     # only the state at t0 is read, so sample just the two endpoints
-    cfg = IntegratorConfig(t_end=t0, dt=dt, sample_stride=MAX_STEPS)
+    cfg = IntegratorConfig(t_end=t0, dt=dt, samples=1)
     points = []
     for r, traj in zip(ratios, integrate_many(specs, pulse, cfg)):
         leak = min(1.0, max(0.0, 1.0 - float(traj.populations[-1, 1])))

@@ -30,20 +30,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import fit_power_law, leakage_scan
 from .errors import NUMERICAL_ERRORS, ConfigError, NonPositiveValueError, NStateError
-from .integrator import (
-    IntegratorConfig,
-    check_sample_count,
-    integrate,
-    integrate_kicks,
-    step_count,
-)
+from .integrator import IntegratorConfig, check_sample_count, integrate, integrate_kicks
 from .model import (
     ConstantPulse,
     CosinePulse,
@@ -220,24 +213,8 @@ def _parse_float_list(text: str, key: str) -> list[float]:
         raise ConfigError(f"key '{key}' is not a comma list of numbers: {text!r}") from exc
 
 
-@dataclass
-class RunSetup:
-    """Fully resolved inputs for simulate/kick: system, pulse, run block."""
-
-    spec: SystemSpec
-    pulse: object
-    relabels: list | None
-    t_end: float | None
-    dt: float | None
-    samples: int
-    n0: int
-    method: str
-
-
-def build_run_setup(values: dict) -> RunSetup:
-    n = _required_n(values)
-    n0 = _get(values, "n0", 1)
-
+def _system(values: dict, n: int, n0: int) -> SystemSpec:
+    """The ``[system]`` keys as a spec; without ``alpha``, the design's ratio for ``n0``."""
     if "matrix" in values:
         rows = [_parse_float_list(r, "matrix") for r in values["matrix"].split(";")]
         if len(rows) != n or any(len(row) != n for row in rows):
@@ -262,18 +239,7 @@ def build_run_setup(values: dict) -> RunSetup:
     energies = ()
     if "energies" in values:
         energies = tuple(_parse_float_list(values["energies"], "energies"))
-    spec = SystemSpec(n=n, coupling=coupling, energies=energies)
-    pulse, relabels = _build_pulse(values, n, n0)
-    return RunSetup(
-        spec=spec,
-        pulse=pulse,
-        relabels=relabels,
-        t_end=_get(values, "t_end"),
-        dt=_get(values, "dt"),
-        samples=_get(values, "samples", 400),
-        n0=n0,
-        method=_get(values, "method", "both"),
-    )
+    return SystemSpec(n=n, coupling=coupling, energies=energies)
 
 
 def _build_pulse(values: dict, n: int, n0: int):
@@ -486,37 +452,38 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    setup = build_run_setup(_inputs(args))
-    area0 = design_transfer(setup.spec.n, setup.n0).area
-    t_end = invert_area(setup.pulse, area0) if setup.t_end is None else setup.t_end
-    theta_scale = 2.0 * math.pi * setup.n0 / area0
+    values = _inputs(args)
+    n = _required_n(values)
+    n0 = _get(values, "n0", 1)
+    spec = _system(values, n, n0)
+    pulse, _ = _build_pulse(values, n, n0)
+    t_end = _get(values, "t_end")
+    dt = _get(values, "dt")
+    samples = _get(values, "samples", 400)
+    method = _get(values, "method", "both")
+    area0 = design_transfer(n, n0).area
+    if t_end is None:
+        t_end = invert_area(pulse, area0)
+    theta_scale = 2.0 * math.pi * n0 / area0
 
     traj_rk4 = traj_ana = None
-    if t_end == 0.0:
-        times = np.array([0.0])
-        if setup.method in ("analytic", "both"):
-            traj_ana = evolve_analytic(setup.spec, setup.pulse, times)
-        if setup.method in ("rk4", "both"):
-            traj_rk4 = integrate(setup.spec, setup.pulse, IntegratorConfig(t_end=0.0))
-    else:
-        if setup.method in ("rk4", "both"):
-            cfg = IntegratorConfig(t_end=t_end, dt=setup.dt)
-            stride = max(1, step_count(setup.spec, setup.pulse, cfg) // setup.samples)
-            cfg = replace(cfg, sample_stride=stride)
-            traj_rk4 = integrate(setup.spec, setup.pulse, cfg)
-        if setup.method in ("analytic", "both"):
-            if traj_rk4 is not None:
-                times = traj_rk4.times
-            else:
-                check_sample_count(setup.samples + 1, setup.spec.n)
-                times = np.linspace(0.0, t_end, setup.samples + 1)
-            traj_ana = evolve_analytic(setup.spec, setup.pulse, times)
+    if method in ("rk4", "both"):
+        traj_rk4 = integrate(spec, pulse, IntegratorConfig(t_end=t_end, dt=dt, samples=samples))
+    if method in ("analytic", "both"):
+        if traj_rk4 is not None:
+            times = traj_rk4.times
+        elif t_end == 0.0:
+            times = np.array([0.0])
+        else:
+            check_sample_count(samples + 1, n)
+            times = np.linspace(0.0, t_end, samples + 1)
+        traj_ana = evolve_analytic(spec, pulse, times)
 
     base = traj_ana if traj_ana is not None else traj_rk4
     columns = _trajectory_columns(base, theta_scale)
     header = list(CSV_COLUMNS)
     max_delta = None
-    if setup.method == "both":
+    if method == "both":
         header += RK4_COLUMNS
         columns += [
             traj_rk4.p1,
@@ -536,13 +503,12 @@ def cmd_simulate(args) -> int:
 
     _emit(_csv_text(header, columns), args.out)
     if args.svg:
-        n = setup.spec.n
         svg = render_svg(
             base.times,
             base.p1,
             base.p2,
             (n - 2) * base.p3_per_state if n > 2 else base.p3_total,
-            title=f"populations, n={n}, method={setup.method}",
+            title=f"populations, n={n}, method={method}",
         )
         with open(args.svg, "w", newline="") as fh:
             fh.write(svg)
@@ -557,22 +523,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_kick(args) -> int:
-    setup = build_run_setup(_inputs(args))
-    train = setup.pulse
-    if setup.t_end is not None:
-        t_end = setup.t_end
-    elif train.kicks:
-        t_end = train.kicks[-1][0] + 1.0
-    else:
-        t_end = 1.0
-    traj = integrate_kicks(
-        setup.spec,
-        train,
-        t_end,
-        samples=setup.samples + 1,
-        relabels=setup.relabels,
-    )
-    theta_scale = 2.0 * math.pi * setup.n0 / design_transfer(setup.spec.n, setup.n0).area
+    values = _inputs(args)
+    n = _required_n(values)
+    n0 = _get(values, "n0", 1)
+    spec = _system(values, n, n0)
+    train, relabels = _build_pulse(values, n, n0)
+    t_end = _get(values, "t_end")
+    samples = _get(values, "samples", 400)
+    if t_end is None:
+        t_end = train.kicks[-1][0] + 1.0 if train.kicks else 1.0
+    traj = integrate_kicks(spec, train, t_end, samples=samples, relabels=relabels)
+    theta_scale = 2.0 * math.pi * n0 / design_transfer(n, n0).area
     _emit(_csv_text(list(CSV_COLUMNS), _trajectory_columns(traj, theta_scale)), args.out)
     fired = sum(t <= t_end for t, _ in train.kicks)  # integrate_kicks applies these
     machine = [f"rows={traj.times.size}", f"kicks={fired}"]

@@ -58,20 +58,23 @@ class IntegratorConfig:
     ``dt`` is an upper bound on the step; the actual step is shrunk so an
     integer number of steps lands exactly on ``t_end``.  When ``dt`` is None a
     heuristic ties the step to the fastest system scale:
-    ``1e-3 / max(1, ||W|| * chi, max |E_k|)``.
+    ``1e-3 / max(1, ||W|| * chi, max |E_k|)``.  ``samples`` is the number of
+    sample intervals: a run of ``n_steps`` keeps step 0, every
+    ``max(1, n_steps // samples)``-th step and the last one.  None keeps
+    every step.
     """
 
     t_end: float
     dt: float | None = None
-    sample_stride: int = 1
+    samples: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and non-negative, got {self.t_end!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
 
 def default_dt(spec: SystemSpec, p: Pulse) -> float:
@@ -117,15 +120,16 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
     batches: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for i, spec in enumerate(specs):
         w = build_coupling(spec)
-        key = (spec.n, w.tobytes(), step_count(spec, p, cfg))
+        n_steps = step_count(spec, p, cfg)
+        stride = 1 if cfg.samples is None else max(1, n_steps // cfg.samples)
+        key = (spec.n, w.tobytes(), n_steps, stride)
         batches.setdefault(key, (w, []))[1].append(i)
 
-    stride = cfg.sample_stride
-    for (n, _, n_steps), (_, members) in batches.items():
+    for (n, _, n_steps, stride), (_, members) in batches.items():
         check_sample_count(-(-n_steps // stride) + 1, len(members) * n)
     trajectories: list[Trajectory | None] = [None] * len(specs)
     envelope = functools.partial(pulse_value, p)
-    for (n, _, n_steps), (w, members) in batches.items():
+    for (n, _, n_steps, stride), (w, members) in batches.items():
         dt = cfg.t_end / n_steps
         energies = np.array([specs[i].energies for i in members], dtype=np.float64)
         batch_a0 = np.tile(start(n), (len(members), 1))
@@ -159,16 +163,17 @@ def integrate_kicks(
     spec: SystemSpec,
     train: KickTrain,
     t_end: float,
-    samples: int = 201,
+    samples: int = 200,
     relabels=None,
 ) -> Trajectory:
     """Evolve through a kick train: free phases between kicks, exact jumps at them.
 
     Each kick of area ``A0`` applies ``exp(-i A0 W)``;  between kicks the
     amplitudes only rotate by ``exp(-i E_k dt)``.  The trajectory is sampled
-    on a uniform grid plus a pair of samples hugging every kick (one float
-    below the kick time, and the kick time itself, which by the
-    right-continuous convention already holds the post-kick state).
+    on a uniform grid of ``samples`` intervals plus a pair of samples hugging
+    every kick after t = 0 (one float below the kick time, and the kick time
+    itself, which by the right-continuous convention already holds the
+    post-kick state).
 
     ``relabels`` optionally gives, per kick, a pair of 1-based state labels to
     swap in the coupling matrix after that kick fires, so a subsequent kick
@@ -176,6 +181,8 @@ def integrate_kicks(
     """
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if relabels is not None:
         if len(relabels) != len(train.kicks):
             raise ValueError("need one relabel entry (or None) per kick")
@@ -190,8 +197,8 @@ def integrate_kicks(
     energies = np.asarray(spec.energies, dtype=np.float64)
     active = [(t, a) for t, a in train.kicks if t <= t_end]
 
-    check_sample_count(max(2, samples) + 2 * len(active), spec.n)
-    grid = [np.linspace(0.0, t_end, max(2, samples))] if t_end > 0 else [np.array([0.0])]
+    check_sample_count(samples + 1 + 2 * len(active), spec.n)
+    grid = [np.linspace(0.0, t_end, samples + 1)] if t_end > 0 else [np.array([0.0])]
     for t_kick, _ in active:
         if t_kick > 0.0:
             grid.append(np.array([np.nextafter(t_kick, -np.inf), t_kick]))
@@ -237,7 +244,7 @@ def convergence_order(spec: SystemSpec, p: Pulse, t_probe: float, dt: float | No
 
     def amplitude_error(step: float) -> float:
         n_steps = max(1, round(t_probe / step))
-        cfg = IntegratorConfig(t_end=t_probe, dt=t_probe / n_steps, sample_stride=n_steps)
+        cfg = IntegratorConfig(t_end=t_probe, dt=t_probe / n_steps, samples=1)
         traj = integrate(spec, p, cfg)
         return float(np.max(np.abs(traj.amplitudes[-1] - reference)))
 

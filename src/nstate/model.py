@@ -303,14 +303,14 @@ def pulse_area(p: Pulse, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _bisect_area(p: Pulse, target: float, lo: float, hi: float, tol: float) -> float:
+def _bisect_area(p: Pulse, target: float, lo: float, hi: float) -> float:
     """The time in ``[lo, hi]`` at which the area crosses ``target``; the ends must straddle it."""
     f_lo = pulse_area(p, lo) - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = pulse_area(p, mid) - target
-        if abs(f_mid) <= tol and (hi - lo) <= 1e-15 * max(1.0, hi):
+        if (hi - lo) <= 1e-15 * max(1.0, hi):
             return mid
+        f_mid = pulse_area(p, mid) - target
         if (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
         else:
@@ -322,8 +322,8 @@ def invert_area(p: Pulse, a_target: float) -> float:
     """Smallest t0 > 0 at which the pulse has accumulated ``a_target``.
 
     Cosine and constant pulses invert in closed form.  A gaussian is found by
-    bracketing plus bisection to an absolute tolerance of
-    ``1e-12 * max(1, |a_target|)``.  Raises ``Unreachable`` when the pulse can
+    bracketing plus bisection, which stops once the bracket is no wider than
+    ``1e-15 * max(1, hi)``.  Raises ``Unreachable`` when the pulse can
     never reach the requested area (cosine beyond chi/omega, constant with a
     sign mismatch, or gaussian beyond its total weight).  A zero target
     returns t0 = 0.  Kick trains are applied as exact jumps, never inverted,
@@ -363,7 +363,7 @@ def invert_area(p: Pulse, a_target: float) -> float:
     hi = p.center + 4.0 * p.width
     while abs(pulse_area(p, hi)) < abs(target):
         hi += 4.0 * p.width
-    return _bisect_area(p, target, 0.0, hi, 1e-12 * max(1.0, abs(target)))
+    return _bisect_area(p, target, 0.0, hi)
 
 
 def pulse_amplitude_scale(p: Pulse) -> float:

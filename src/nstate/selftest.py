@@ -231,7 +231,7 @@ def check_integrator_matches_analytic(ctx: _Context):
         design = design_transfer(n)
         pulse = design.cosine()
         t_end = invert_area(pulse, design.area)
-        cfg = IntegratorConfig(t_end=t_end, dt=ctx.dt, sample_stride=25)
+        cfg = IntegratorConfig(t_end=t_end, dt=ctx.dt, samples=200)
         traj = integrate(spec, pulse, cfg)
         exact = evolve_analytic(spec, pulse, traj.times)
         dev = np.max(np.abs(traj.populations - exact.populations))

@@ -115,11 +115,13 @@ class TestIntegrate:
         assert np.max(np.abs(back.final_amplitudes - initial_state(4))) <= 1e-7
 
     def test_sampling_stride_and_endpoint(self):
-        cfg = IntegratorConfig(t_end=1.0, dt=0.0103, sample_stride=7)
-        traj = integrate(two_state(), ConstantPulse(0.5), cfg)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == 1.0
-        assert np.all(np.diff(traj.times) > 0)
+        # dt = 0.0103 makes 98 steps; samples -> stride max(1, 98 // samples)
+        for samples, stride in ((14, 7), (10, 9), (1, 98), (200, 1), (None, 1)):
+            cfg = IntegratorConfig(t_end=1.0, dt=0.0103, samples=samples)
+            traj = integrate(two_state(), ConstantPulse(0.5), cfg)
+            expected = np.array([*range(0, 98, stride), 98]) * (1.0 / 98)
+            expected[-1] = 1.0  # the last sample is t_end itself, not 98 * dt
+            assert np.array_equal(traj.times, expected), samples
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -127,7 +129,9 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(t_end=1.0, sample_stride=0)
+            IntegratorConfig(t_end=1.0, samples=0)
+        with pytest.raises(ValueError, match="samples"):
+            integrate_kicks(two_state(), KickTrain(kicks=()), 1.0, samples=0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 IntegratorConfig(t_end=bad)
@@ -165,6 +169,16 @@ class TestIntegrateKicks:
         train = KickTrain(kicks=((1.0, 1.0),))
         with pytest.raises(SampleCountOverflowError):
             integrate_kicks(design_spec(3), train, 2.0, samples=2 * 10**9)
+
+    def test_sample_cap_counts_the_grid_and_two_rows_per_fired_kick(self, monkeypatch):
+        # (samples + 1 + 2 * fired kicks) * n amplitudes; the kick after t_end does not fire
+        train = KickTrain(kicks=((0.55, 0.3), (1.15, 0.2), (5.0, 0.1)))  # off the 0.2 grid
+        monkeypatch.setattr("nstate.integrator.MAX_SAMPLE_ELEMENTS", (10 + 1 + 2 * 2) * 3)
+        traj = integrate_kicks(design_spec(3), train, 2.0, samples=10)
+        assert traj.times.size == 10 + 1 + 2 * 2
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid allocated"))
+        with pytest.raises(SampleCountOverflowError):
+            integrate_kicks(design_spec(3), train, 2.0, samples=11)
 
     def test_single_kick_transfers_permanently(self):
         train = KickTrain(kicks=((1.0, math.pi / 2.0),))

@@ -142,7 +142,7 @@ class TestRk4Paths:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("spectral"))
         spec = design_spec(6)
-        cfg = IntegratorConfig(t_end=2.0, dt=0.01, sample_stride=3)
+        cfg = IntegratorConfig(t_end=2.0, dt=0.01, samples=66)
         traj = integrate(spec, CosinePulse(chi=1.0, omega=0.5), cfg)
         assert abs(traj.populations[-1].sum() - 1.0) <= 1e-8
         integrate_many([spec, spec], ConstantPulse(0.4), cfg)

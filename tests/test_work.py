@@ -29,9 +29,9 @@ def test_work_per_op(argv, rk4_calls, state_steps, eigensolves, rows, tmp_path, 
     steps, shapes = [], []
     rk4, jacobi = _kernels.rk4_core, _kernels.jacobi_eigh
 
-    def rk4_spy(w, energies, envelope, dt, n_steps, stride, a0, out):
+    def rk4_spy(w, energies, envelope, dt, n_steps, sample_steps, a0, out):
         steps.append(n_steps * a0.shape[0])
-        return rk4(w, energies, envelope, dt, n_steps, stride, a0, out)
+        return rk4(w, energies, envelope, dt, n_steps, sample_steps, a0, out)
 
     def jacobi_spy(matrix):
         shapes.append(matrix.shape)
