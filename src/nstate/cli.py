@@ -464,11 +464,12 @@ def cmd_simulate(args) -> int:
     area0 = design_transfer(n, n0).area
     if t_end is None:
         t_end = invert_area(pulse, area0)
+    cfg = IntegratorConfig(t_end=t_end, dt=dt, samples=samples)
     theta_scale = 2.0 * math.pi * n0 / area0
 
     traj_rk4 = traj_ana = None
     if method in ("rk4", "both"):
-        traj_rk4 = integrate(spec, pulse, IntegratorConfig(t_end=t_end, dt=dt, samples=samples))
+        traj_rk4 = integrate(spec, pulse, cfg)
     if method in ("analytic", "both"):
         if traj_rk4 is not None:
             times = traj_rk4.times

@@ -59,9 +59,10 @@ class IntegratorConfig:
     integer number of steps lands exactly on ``t_end``.  When ``dt`` is None a
     heuristic ties the step to the fastest system scale:
     ``1e-3 / max(1, ||W|| * chi, max |E_k|)``.  ``samples`` is the number of
-    sample intervals: a run of ``n_steps`` keeps step 0, every
-    ``max(1, n_steps // samples)``-th step and the last one.  None keeps
-    every step.
+    sample intervals: a run of ``steps`` steps keeps ``min(samples, steps)``
+    equal intervals, each of ``ceil(steps / intervals)`` steps, so the step
+    only ever shrinks and the rows are ``linspace(0, t_end, intervals + 1)``.
+    None keeps every step.
     """
 
     t_end: float
@@ -86,14 +87,25 @@ def default_dt(spec: SystemSpec, p: Pulse) -> float:
     return 1e-3 / scale
 
 
-def step_count(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig) -> int:
-    """Number of fixed steps for ``cfg``: ``dt`` (or :func:`default_dt`) shrunk to land on t_end."""
+def step_grid(spec: SystemSpec, p: Pulse, cfg: IntegratorConfig) -> tuple[int, int]:
+    """Fixed steps and sample stride for ``cfg``: ``dt`` (or :func:`default_dt`) shrunk to fit.
+
+    The step count is rounded up to a whole number of steps in each of the
+    ``min(samples, steps)`` sample intervals; ``MAX_STEPS`` caps the rounded count.
+    """
     dt_req = cfg.dt if cfg.dt is not None else default_dt(spec, p)
     # an overflowing drive scale makes the heuristic step 0: that run has no step count
     steps = cfg.t_end / dt_req if dt_req > 0 else math.inf
+    stride = 1
+    if steps <= MAX_STEPS:
+        steps = max(1, math.ceil(steps))
+        if cfg.samples is not None:
+            intervals = min(cfg.samples, steps)
+            stride = -(-steps // intervals)
+            steps = stride * intervals
     if steps > MAX_STEPS:
         raise StepCountOverflowError(f"{steps:.4g} steps requested; cap is {MAX_STEPS}")
-    return max(1, math.ceil(steps))
+    return steps, stride
 
 
 def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Trajectory]:
@@ -120,13 +132,12 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
     batches: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for i, spec in enumerate(specs):
         w = build_coupling(spec)
-        n_steps = step_count(spec, p, cfg)
-        stride = 1 if cfg.samples is None else max(1, n_steps // cfg.samples)
+        n_steps, stride = step_grid(spec, p, cfg)
         key = (spec.n, w.tobytes(), n_steps, stride)
         batches.setdefault(key, (w, []))[1].append(i)
 
     for (n, _, n_steps, stride), (_, members) in batches.items():
-        check_sample_count(-(-n_steps // stride) + 1, len(members) * n)
+        check_sample_count(n_steps // stride + 1, len(members) * n)
     trajectories: list[Trajectory | None] = [None] * len(specs)
     envelope = functools.partial(pulse_value, p)
     for (n, _, n_steps, stride), (w, members) in batches.items():
@@ -140,8 +151,8 @@ def integrate_many(specs, p: Pulse, cfg: IntegratorConfig, a0=None) -> list[Traj
             advice = f"shrink dt below {dt:.3e}" if math.isfinite(worst) else "the drive overflows"
             raise NormDriftError(f"norm drifted by {worst:.3e}; {advice}")
 
-        times = sample_steps.astype(np.float64) * dt
-        times[-1] = cfg.t_end
+        # row j holds step j * stride; its time j * stride * dt is this grid point to 2 ulps
+        times = np.linspace(0.0, cfg.t_end, sample_steps.size)
         areas = np.asarray(pulse_area(p, times), dtype=np.float64)
         for b, i in enumerate(members):
             trajectories[i] = make_trajectory(times, amps[:, b], areas)

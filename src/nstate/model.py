@@ -308,7 +308,7 @@ def _bisect_area(p: Pulse, target: float, lo: float, hi: float) -> float:
     f_lo = pulse_area(p, lo) - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-15 * max(1.0, hi):
+        if (hi - lo) <= 1e-15 * hi:
             return mid
         f_mid = pulse_area(p, mid) - target
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -323,11 +323,12 @@ def invert_area(p: Pulse, a_target: float) -> float:
 
     Cosine and constant pulses invert in closed form.  A gaussian is found by
     bracketing plus bisection, which stops once the bracket is no wider than
-    ``1e-15 * max(1, hi)``.  Raises ``Unreachable`` when the pulse can
-    never reach the requested area (cosine beyond chi/omega, constant with a
-    sign mismatch, or gaussian beyond its total weight).  A zero target
-    returns t0 = 0.  Kick trains are applied as exact jumps, never inverted,
-    and raise ``TypeError`` like any other non-pulse.
+    ``1e-15 * hi``, so a small t0 keeps its relative precision.  Raises
+    ``Unreachable`` when the pulse can never reach the requested area (cosine
+    beyond chi/omega, constant with a sign mismatch, or gaussian beyond its
+    total weight).  A zero target returns t0 = 0.  Kick trains are applied as
+    exact jumps, never inverted, and raise ``TypeError`` like any other
+    non-pulse.
     """
     if not isinstance(p, (CosinePulse, ConstantPulse, GaussianPulse)):
         raise TypeError(f"unknown pulse type {type(p).__name__}")
@@ -360,7 +361,7 @@ def invert_area(p: Pulse, a_target: float) -> float:
     )
     if abs(target) >= abs(total) * (1.0 - 1e-12):
         raise UnreachableAreaError("target exceeds the gaussian's total area")
-    hi = p.center + 4.0 * p.width
+    hi = max(p.center, 0.0) + 4.0 * p.width  # the bracket [0, hi] must not point backwards
     while abs(pulse_area(p, hi)) < abs(target):
         hi += 4.0 * p.width
     return _bisect_area(p, target, 0.0, hi)

@@ -207,6 +207,27 @@ class TestSimulate:
         assert "stroke-dasharray" in text  # dashed population styles present
         assert "href" not in text and "url(" not in text
 
+    def test_every_method_writes_samples_plus_one_rows_on_one_grid(self):
+        tables = {}
+        for method in ("analytic", "rk4", "both"):
+            code, out, _ = run_cli(["simulate", "--n", "4", "--samples", "250", "--method", method])
+            assert code == 0
+            tables[method] = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+            assert tables[method].shape[0] == 251, method
+        for method in ("rk4", "both"):
+            assert np.array_equal(tables[method][:, 0], tables["analytic"][:, 0]), method
+
+    def test_coarse_dt_keeps_every_rk4_step(self):
+        # dt = 0.02 gives 99 steps up to t0 = 1.973, fewer than the 250 intervals asked for
+        code, out, err = run_cli(
+            ["simulate", "--n", "4", "--samples", "250", "--dt", "0.02", "--method", "rk4",
+             "--porcelain"]
+        )  # fmt: skip
+        assert code == 0
+        table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        t_end = float(porcelain_dict(err)["t_end"])
+        assert np.array_equal(table[:, 0], np.linspace(0.0, t_end, 100))
+
     def test_method_rk4_base_columns(self, tmp_path):
         out_path = tmp_path / "rk4.csv"
         code, _, _ = run_cli(
@@ -447,6 +468,13 @@ def test_malformed_input_exits_2_with_one_error_line(argv, config, error, text, 
     lines = err.splitlines()
     assert lines[0] == f"error={error}" and text in lines[1]
     assert sum(line.startswith("error=") for line in lines) == 1
+
+
+@pytest.mark.parametrize("method", ["analytic", "rk4", "both"])
+def test_negative_t_end_names_the_input_for_every_method(method):
+    code, out, err = run_cli(["simulate", "--n", "3", "--t-end", "-1", "--method", method])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error=Config", "t_end must be finite and non-negative, got -1.0"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -114,14 +114,35 @@ class TestIntegrate:
         )
         assert np.max(np.abs(back.final_amplitudes - initial_state(4))) <= 1e-7
 
-    def test_sampling_stride_and_endpoint(self):
-        # dt = 0.0103 makes 98 steps; samples -> stride max(1, 98 // samples)
-        for samples, stride in ((14, 7), (10, 9), (1, 98), (200, 1), (None, 1)):
+    def test_sampling_stride_and_endpoint(self, monkeypatch):
+        # dt = 0.0103 makes 98 steps; min(samples, 98) intervals of ceil(98 / intervals) steps
+        steps = []
+        monkeypatch.setattr(
+            "nstate.integrator.run_rk4", lambda *a: steps.append(a[4]) or run_rk4(*a)
+        )
+        pulse = ConstantPulse(0.5)
+        cases = ((14, 7, 98), (10, 10, 100), (1, 98, 98), (200, 1, 98), (None, 1, 98))
+        for samples, stride, n_steps in cases:
             cfg = IntegratorConfig(t_end=1.0, dt=0.0103, samples=samples)
-            traj = integrate(two_state(), ConstantPulse(0.5), cfg)
-            expected = np.array([*range(0, 98, stride), 98]) * (1.0 / 98)
-            expected[-1] = 1.0  # the last sample is t_end itself, not 98 * dt
-            assert np.array_equal(traj.times, expected), samples
+            traj = integrate(two_state(), pulse, cfg)
+            assert steps[-1] == n_steps, samples
+            assert np.array_equal(traj.times, np.linspace(0.0, 1.0, n_steps // stride + 1))
+            assert traj.times[-1] == 1.0  # the last sample is t_end itself
+        # 10 intervals of 10 steps: every 10th state of the same 100-step run
+        ten = integrate(two_state(), pulse, IntegratorConfig(t_end=1.0, dt=0.0103, samples=10))
+        every = integrate(two_state(), pulse, IntegratorConfig(t_end=1.0, dt=0.01))
+        assert np.array_equal(ten.amplitudes, every.amplitudes[::10])
+
+    def test_step_cap_applies_to_the_rounded_step_count(self, monkeypatch):
+        monkeypatch.setattr("nstate.integrator.MAX_STEPS", 99)
+        # 98 raw steps fit under the cap, and 14 intervals of 7 keep them at 98
+        cfg = IntegratorConfig(t_end=1.0, dt=0.0103, samples=14)
+        assert integrate(two_state(), ConstantPulse(0.5), cfg).times.size == 15
+        # 10 intervals of 10 steps make 100: refused before the kernel runs
+        monkeypatch.setattr("nstate.integrator.run_rk4", lambda *a: pytest.fail("kernel ran"))
+        cfg = IntegratorConfig(t_end=1.0, dt=0.0103, samples=10)
+        with pytest.raises(StepCountOverflowError):
+            integrate(two_state(), ConstantPulse(0.5), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

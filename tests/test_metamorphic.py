@@ -9,7 +9,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nstate import build_coupling, design_spec
@@ -78,6 +78,27 @@ def test_permuting_states_3_to_n_leaves_p1_p2(n, seed):
     assert a.shape == b.shape
     assert np.array_equal(a[:, 0], b[:, 0])
     assert np.max(np.abs(a[:, 3:5] - b[:, 3:5])) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(3, 8), st.floats(1.0, 40.0), st.floats(0.05, 1.5))
+@example(5, 2.5, 0.1)  # ||W|| chi < 1: only the scaled runs leave the step rule's floor of 1
+@example(5, 40.0, 0.1)
+def test_scaling_the_drive_and_levels_while_shrinking_time_leaves_populations(n, s, chi):
+    # H -> s H with t -> t / s is the same evolution, whether or not the step rule's
+    # floor of 1 is active; split levels, so only RK4 runs
+    energies = np.linspace(-0.3, 0.4, n)
+
+    def table(scale):
+        return simulate(
+            n, "rk4", f"--chi={chi * scale!r}", f"--omega={0.6 * scale!r}",
+            f"--energies={_csv_list((energies * scale).tolist())}", f"--t-end={2.0 / scale!r}",
+        )  # fmt: skip
+
+    a, b = table(1.0), table(s)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a[:, 0] - s * b[:, 0])) <= 1e-14 * a[-1, 0]
+    assert np.max(np.abs(a[:, POPULATIONS] - b[:, POPULATIONS])) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)

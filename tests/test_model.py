@@ -247,6 +247,28 @@ class TestInvertArea:
             t_ref = center + width * math.sqrt(2.0) * float(erfinv(target / scale + lo))
             assert abs(t0 - t_ref) <= 1e-14 * max(1.0, abs(t_ref))
 
+    def test_small_gaussian_t0_keeps_relative_precision(self):
+        # center 0: the area is scale * erf(t / (w sqrt 2)) with no cancellation, so the
+        # root w sqrt(2) erfinv(target / scale) is known to full relative precision
+        from scipy.special import erfinv
+
+        for peak, width in ((1.0, 1.0), (-3e3, 0.6), (1e6, 2.0)):
+            scale = peak * width * math.sqrt(0.5 * math.pi)
+            g = GaussianPulse(peak, 0.0, width)
+            for t_ref in np.geomspace(1e-7, 1.0, 15):
+                target = scale * math.erf(t_ref / (width * math.sqrt(2.0)))
+                t0 = invert_area(g, target)
+                t_ref = width * math.sqrt(2.0) * float(erfinv(target / scale))
+                assert abs(t0 - t_ref) <= 1e-14 * t_ref
+
+    def test_gaussian_centered_far_before_zero_is_inverted_forward(self):
+        # center + 4 widths < 0: the first bracket end must still lie after t = 0
+        g = GaussianPulse(peak=1.0, center=-5.0, width=1.0)
+        target = 0.5 * pulse_area(g, 50.0)
+        t0 = invert_area(g, target)
+        assert t0 > 0.0
+        assert abs(pulse_area(g, t0) - target) <= 1e-9 * target
+
     def test_kick_train_is_not_inverted(self):
         # the type is checked before the zero-target shortcut
         for pulse, target in [

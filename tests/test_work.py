@@ -19,7 +19,7 @@ KICKS = ",".join(f"{k + 0.5}:{AREA_16}:{(k - 1) % 16 + 1}-{k % 16 + 1}" for k in
     [
         (["leakage", "--n", "4", "--ratios", "geom:0.01:0.1:8"], 1, 50_472, [], 8),
         (["simulate", "--n", "48", "--samples", "4000", "--method", "both", "--svg", "w.svg"],
-         1, 6_868, [(3, 3)], 6_869),
+         1, 8_000, [(3, 3)], 4_001),
         (["kick", "--n", "16", "--kicks", KICKS, "--samples", "4000"], 0, 0, [(16, 16)] * 33, 4_065),
     ],
     ids=["leakage", "transfer", "kick"],
